@@ -481,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="turangap",
         description="Certified simplex maxima, density chains, and exact "
         "ladders for multiset patterns.",
-        epilog="TURANGAP_WORKERS limits the optimizer worker pool "
-        "(default: all available cores).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,7 +12,7 @@ converted to float at evaluation time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -158,13 +158,22 @@ class LagrangePolynomial:
     """Homogeneous degree-r polynomial with positive exact coefficients.
 
     Monomials are (exponent vector, coefficient) pairs with exact Fraction
-    coefficients.  Float copies of the data are cached at construction for
-    fast numeric evaluation.
+    coefficients.  Read-only float tables for numeric work are built once at
+    construction.  Monomial a is coefs[a] times the product of x over the
+    coordinates ``factors[a]`` (coordinate i repeated e_ai times).  Gradient
+    term a * r + t is that product without position t, weighted coefs[a]
+    into column factors[a, t] of ``grad_weights``; the e_ai copies of i sum
+    to the partial derivative, and at x_i = 0 only monomials linear in x_i
+    keep a nonzero term in column i.
     """
 
     r: int
     m: int
     monomials: tuple[tuple[tuple[int, ...], Fraction], ...]
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
+    coefs: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[tuple[int, ...]] = set()
@@ -178,14 +187,18 @@ class LagrangePolynomial:
             if exps in seen:
                 raise ValueError(f"duplicate exponent vector {exps}")
             seen.add(exps)
-        n = len(self.monomials)
-        exp = np.zeros((n, self.m), dtype=np.int64)
-        coef = np.zeros(n, dtype=np.float64)
-        for i, (exps, coeff) in enumerate(self.monomials):
-            exp[i] = exps
-            coef[i] = float(coeff)
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_coef", coef)
+        n, m, r = len(self.monomials), self.m, self.r
+        exps = np.array([e for e, _ in self.monomials], dtype=np.int64).reshape(n * m)
+        factors = np.repeat(np.tile(np.arange(m), n), exps).reshape(n, r)
+        coefs = np.array([float(c) for _, c in self.monomials])
+        drop = np.array([[j for j in range(r) if j != k] for k in range(r)])
+        grad_weights = np.zeros((n * r, m))
+        grad_weights[np.arange(n * r), factors.ravel()] = np.repeat(coefs, r)
+        for name, arr in (("factors", factors), ("coefs", coefs),
+                          ("grad_factors", factors[:, drop].reshape(n * r, r - 1)),
+                          ("grad_weights", grad_weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         """Exact coefficient of the given exponent vector (0 if absent)."""
@@ -212,15 +225,13 @@ def lagrange_polynomial(p: Pattern) -> LagrangePolynomial:
     return LagrangePolynomial(p.r, p.m, tuple(monos))
 
 
-def evaluate(poly: LagrangePolynomial, x: Sequence[float]) -> float:
-    """Numeric value of the polynomial at x (length must equal m)."""
+def evaluate(poly: LagrangePolynomial, x: Sequence[float]) -> float | np.ndarray:
+    """Numeric value at x of shape (m,), or the values at each row of a (k, m) batch."""
     xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (poly.m,):
-        raise ValueError(f"point has shape {xv.shape}, expected ({poly.m},)")
-    if len(poly.monomials) == 0:
-        return 0.0
-    powers = xv[None, :] ** poly._exp  # type: ignore[attr-defined]
-    return float(powers.prod(axis=1) @ poly._coef)  # type: ignore[attr-defined]
+    if xv.ndim not in (1, 2) or xv.shape[-1] != poly.m:
+        raise ValueError(f"point has shape {xv.shape}, expected ({poly.m},) or (k, {poly.m})")
+    values = _values(poly, xv)
+    return float(values) if xv.ndim == 1 else values
 
 
 def evaluate_batch(poly: LagrangePolynomial, xs: np.ndarray) -> np.ndarray:
@@ -228,10 +239,11 @@ def evaluate_batch(poly: LagrangePolynomial, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != poly.m:
         raise ValueError(f"batch has shape {xs.shape}, expected (k, {poly.m})")
-    if len(poly.monomials) == 0:
-        return np.zeros(xs.shape[0])
-    powers = xs[:, None, :] ** poly._exp[None, :, :]  # type: ignore[attr-defined]
-    return powers.prod(axis=2) @ poly._coef  # type: ignore[attr-defined]
+    return _values(poly, xs)
+
+
+def _values(poly: LagrangePolynomial, xv: np.ndarray) -> np.ndarray:
+    return xv[..., poly.factors].prod(axis=-1) @ poly.coefs
 
 
 def evaluate_exact(poly: LagrangePolynomial, x: Sequence[Fraction]) -> Fraction:

@@ -2,12 +2,17 @@
 
 import random
 import warnings
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from turangap import (
+    DownSet,
     OptimizerConfig,
     Pattern,
     RMultiset,
@@ -15,13 +20,17 @@ from turangap import (
     certify_max_upper,
     complete_pattern,
     evaluate,
+    evaluate_batch,
     gradient,
     kkt_residual,
     lagrange_polynomial,
     maximize,
+    pattern_of,
     project_to_simplex,
     simple_pattern,
 )
+import turangap.simplex as sx
+from turangap.simplex import SUPPORT_EPS, _start_points
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
 
@@ -115,6 +124,14 @@ def test_maximize_deterministic_and_seed_sensitive():
     assert a.value == b.value
     assert np.array_equal(a.point, b.point)
     assert a.starts_used == b.starts_used == 20
+    # neighbouring seeds draw disjoint random starts, not shifted copies
+    for seed in (0, 123):
+        mine, kinds = _start_points(5, OptimizerConfig(starts=20, seed=seed), ())
+        other, _ = _start_points(5, OptimizerConfig(starts=20, seed=seed + 1), ())
+        rand = [i for i, k in enumerate(kinds) if k == "random"]
+        assert len(rand) == 14
+        assert np.array_equal(mine[:6], other[:6])
+        assert not any(np.allclose(mine[i], other[j]) for i in rand for j in rand)
 
 
 def test_maximize_reports_value_at_point():
@@ -181,21 +198,240 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
-        OptimizerConfig(step_rule="fixed")
-    with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
 
 
-def test_worker_env_override(monkeypatch):
-    import turangap.simplex as sx
+# ---------------------------------------------------------------------------
+# batched primitives against per-vector and exact references
 
-    monkeypatch.setenv(sx.WORKERS_ENV, "1")
-    assert sx.worker_count() == 1
-    res = maximize(SINGLE_EDGE_3, OptimizerConfig(starts=6, seed=2))
-    monkeypatch.setenv(sx.WORKERS_ENV, "4")
-    res4 = maximize(SINGLE_EDGE_3, OptimizerConfig(starts=6, seed=2))
-    assert res.value == res4.value
-    assert np.array_equal(res.point, res4.point)
-    monkeypatch.setenv(sx.WORKERS_ENV, "0")
+
+def _project_vector(v: np.ndarray) -> np.ndarray:
+    """Reference: sort-based projection of one vector."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 9)),
+              elements=st.floats(-4, 4, allow_nan=False)))
+def test_projection_rows_match_vector_projection(batch):
+    feasible = np.random.default_rng(batch.shape[1]).dirichlet(np.ones(batch.shape[1]))
+    rows = np.vstack([
+        batch,
+        np.round(batch),             # ties
+        -np.abs(batch) - 1.0,        # all negative
+        feasible,                    # already on the simplex
+    ])
+    got = project_to_simplex(rows)
+    for v, x in zip(rows, got):
+        assert np.array_equal(x, _project_vector(v))
+        assert np.array_equal(project_to_simplex(v), x)
+
+
+def _exact_gradient(p: Pattern, x) -> list[Fraction]:
+    """Reference: differentiate each monomial in exact arithmetic."""
+    g = [Fraction(0)] * p.m
+    for exps, coef in lagrange_polynomial(p).monomials:
+        for i, e in enumerate(exps):
+            if e:
+                term = coef * e
+                for j, (xj, ej) in enumerate(zip(x, exps)):
+                    term *= Fraction(xj) ** (ej - (j == i))
+                g[i] += term
+    return g
+
+
+def _dyadic_points(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """Simplex points with coordinates in (1/8)Z, zeros included: every
+    product and sum in evaluate and gradient is exact in floats."""
+    return np.array([np.bincount(rng.integers(0, m, 8), minlength=m) / 8 for _ in range(k)])
+
+
+def test_batched_gradient_matches_vector_and_exact_derivative():
+    rng = random.Random(41)
+    nprng = np.random.default_rng(41)
+    for _ in range(40):
+        p = _random_pattern(rng)
+        poly = lagrange_polynomial(p)
+        xs = np.vstack([nprng.dirichlet(np.ones(p.m), 5), _dyadic_points(nprng, p.m, 5)])
+        g = gradient(poly, xs)
+        assert g.shape == xs.shape
+        for x, gx in zip(xs, g):
+            assert np.allclose(gradient(poly, x), gx, rtol=1e-14, atol=0)
+        # at dyadic points (zero coordinates included) the float gradient is
+        # exact, so the zero-coordinate rule holds with no rounding
+        for x, gx in zip(xs[5:], g[5:]):
+            assert gx.tolist() == [float(v) for v in _exact_gradient(p, x)]
     with pytest.raises(ValueError):
-        sx.worker_count()
+        gradient(poly, np.ones((2, 3, p.m)))
+
+
+def test_gradient_at_zero_coordinate_keeps_only_linear_monomials():
+    # lambda = 3 x^2 y + 6 x y z + 3 y^2 z: at y = 0, d/dy = 3 x^2 + 6 x z;
+    # the y^2 z monomial is not linear in y and contributes nothing
+    p = Pattern.from_element_lists(3, 3, [(1, 1, 2), (1, 2, 3), (2, 2, 3)])
+    poly = lagrange_polynomial(p)
+    xs = np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    g = gradient(poly, xs)
+    assert g[:, 1].tolist() == [3 * 0.25 + 6 * 0.25, 3.0, 0.0]
+    assert g[:, [0, 2]].tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+def test_batched_evaluate_matches_evaluate_batch():
+    rng = random.Random(43)
+    nprng = np.random.default_rng(43)
+    for _ in range(30):
+        p = _random_pattern(rng)
+        poly = lagrange_polynomial(p)
+        xs = nprng.dirichlet(np.ones(p.m), 7)
+        vals = evaluate(poly, xs)
+        assert np.array_equal(vals, evaluate_batch(poly, xs))
+        assert np.allclose([evaluate(poly, x) for x in xs], vals, rtol=1e-14, atol=0)
+    empty = lagrange_polynomial(Pattern(3, 4, ()))
+    assert evaluate(empty, np.full((2, 4), 0.25)).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        evaluate(empty, np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# batched maximize against a per-start oracle
+
+
+def _ascend(poly, x0, max_iterations: int, tolerance: float):
+    """Reference: projected gradient ascent with backtracking from one start.
+
+    Returns the cleaned point, its value and the number of gradient steps.
+    Calls the primitives through the simplex module, so a test can swap them.
+    """
+    x = sx.project_to_simplex(x0)
+    f = sx.evaluate(poly, x)
+    eta = 1.0
+    iterations = 0
+    for _ in range(max_iterations):
+        g = sx.gradient(poly, x)
+        iterations += 1
+        accepted = False
+        move = 0.0
+        while eta >= 1e-16:
+            y = sx.project_to_simplex(x + eta * g)
+            step = y - x
+            move = float(np.max(np.abs(step)))
+            if move == 0.0:
+                break
+            fy = sx.evaluate(poly, y)
+            if fy - f >= 1e-4 * float((g * step).sum()):
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+        x, f = y, fy
+        if move < tolerance:
+            break
+        eta = min(eta * 2.0, 1e6)
+    x = x.copy()
+    x[x < SUPPORT_EPS] = 0.0
+    supp = x > 0.0
+    x[supp] = sx.project_to_simplex(x[supp])
+    return x, sx.evaluate(poly, x), iterations
+
+
+DEGENERATE = pattern_of(DownSet(4, 3, frozenset({(2, 1, 1), (2, 2, 0)})))
+
+
+def _oracle_cases():
+    """(pattern, config, warm starts): random patterns, the empty pattern,
+    the degenerate r=4 s=3 family {(2,1,1), (2,2,0)} (thousands of steps
+    per start), a warm-started chain rung, and the symmetric K_5 pattern,
+    whose starts all climb to the same maximum 4/5."""
+    rng = random.Random(47)
+    cases = [(_random_pattern(rng, r_max=4, m_max=6), OptimizerConfig(starts=12, seed=s), ())
+             for s in range(10)]
+    cases.append((Pattern(3, 4, ()), OptimizerConfig(starts=6), ()))
+    cases.append((DEGENERATE, OptimizerConfig(starts=6, seed=1), ()))
+    edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)]
+    prev = maximize(simple_pattern(3, 5, edges[:-1]), OptimizerConfig(starts=10))
+    cases.append((simple_pattern(3, 5, edges), OptimizerConfig(starts=10), [prev.point]))
+    cases.append((complete_pattern(2, 5), OptimizerConfig(starts=20, seed=3), ()))
+    return cases
+
+
+def _row_gradient(poly, x):
+    terms = np.asarray(x, dtype=np.float64)[..., poly.grad_factors].prod(axis=-1)
+    return (terms[..., None] * poly.grad_weights).sum(axis=-2)
+
+
+def _row_evaluate(poly, x):
+    xv = np.asarray(x, dtype=np.float64)
+    values = (xv[..., poly.factors].prod(axis=-1) * poly.coefs).sum(axis=-1)
+    return float(values) if xv.ndim == 1 else values
+
+
+def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
+    # the library sums gradient and value terms with BLAS, whose rounding
+    # depends on the batch size; with row-wise sums every batched row must
+    # take exactly the oracle's steps, stop where it stops and clean up the
+    # same way
+    monkeypatch.setattr(sx, "gradient", _row_gradient)
+    monkeypatch.setattr(sx, "evaluate", _row_evaluate)
+    for p, config, extra in _oracle_cases():
+        res = maximize(p, config, extra_starts=extra)
+        poly = lagrange_polynomial(p)
+        starts, kinds = _start_points(p.m, config, extra)
+        runs = [_ascend(poly, x0, config.max_iterations, config.tolerance) for x0 in starts]
+        assert res.iterations == tuple(n for _, _, n in runs)
+        values = [f for _, f, _ in runs]
+        # ties go to the lowest start index
+        assert res.start_index == values.index(max(values))
+        assert res.start_kind == kinds[res.start_index]
+        assert res.value == max(values)
+        assert np.array_equal(res.point, runs[res.start_index][0])
+        if extra:
+            assert res.value >= evaluate(poly, extra[0]) - 1e-12
+        if p == DEGENERATE:
+            assert max(res.iterations) > 1000
+    # the K_5 case really has tied starts for the tie-break to settle
+    assert values.count(max(values)) > 1
+
+
+def test_maximize_matches_best_oracle_value():
+    for p, config, extra in _oracle_cases():
+        res = maximize(p, config, extra_starts=extra)
+        poly = lagrange_polynomial(p)
+        starts, _ = _start_points(p.m, config, extra)
+        best = max(_ascend(poly, x0, config.max_iterations, config.tolerance)[1]
+                   for x0 in starts)
+        assert abs(res.value - best) <= 1e-12
+        assert res.value == pytest.approx(evaluate(poly, res.point), abs=1e-15)
+
+
+def test_cleanup_returns_tiny_mass_to_the_support():
+    # 2xy + 2xz is flat along y + z = 1/2, so this warm start barely moves;
+    # its z below SUPPORT_EPS is zeroed and the mass goes back to x and y,
+    # not smeared over the zeroed coordinate by a full-simplex projection
+    p = simple_pattern(2, 3, [(1, 2), (1, 3)])
+    warm = [0.5, 0.5 - 4e-15, 4e-15]
+    res = maximize(p, OptimizerConfig(starts=1, max_iterations=1), extra_starts=[warm])
+    assert res.start_kind == "warm"
+    assert res.point[2] == 0.0 and res.point[1] > warm[1]
+    assert res.point.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_opt_result_reports_winning_start():
+    p = simple_pattern(3, 4, [(1, 2, 3)])
+    res = maximize(p, OptimizerConfig(starts=8, seed=5))
+    kinds = ["uniform"] + ["vertex"] * 4 + ["random"] * 3
+    assert res.start_kind == kinds[res.start_index]
+    assert len(res.iterations) == 8 and min(res.iterations) >= 1
+    assert res.iterations[1] == 1  # a vertex is a projection fixed point
+    # one step from the uniform point of x^3 does not reach the vertex
+    cube = Pattern.from_element_lists(3, 3, [(1, 1, 1)])
+    warm = maximize(cube, OptimizerConfig(starts=1, max_iterations=1), extra_starts=[[1, 0, 0]])
+    assert (warm.start_index, warm.start_kind, warm.value) == (1, "warm", 1.0)
+    # diagnostics stay out of the certificate, so artifacts do not change
+    assert set(certificate(p, res)) == {"pattern", "value", "point", "kkt_residual",
+                                        "starts", "seed"}
+    with pytest.raises(ValueError):
+        maximize(p, OptimizerConfig(starts=1), extra_starts=[[0.5, 0.5]])
