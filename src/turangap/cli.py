@@ -1,12 +1,15 @@
 """Command line front end.
 
-Every subcommand prints a human-readable table on stdout and writes a
-machine-readable artifact (csv or json) plus a RunManifest JSON next to it.
-Artifact names are content-addressed from the full parameter set, so
-identical invocations rewrite byte-identical primary outputs; manifest
-wall times are informational only.
+Each subcommand computes one ``Result`` and writes nothing itself; one
+writer then writes the machine-readable artifact (csv or json; text for
+``blow-up``) plus a manifest JSON next to it, so a failed run writes no
+artifact.  Artifact names are content-addressed from the full parameter
+set, so identical invocations rewrite byte-identical primary outputs; the
+manifest wall time (Monte Carlo included) is informational only.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage error.
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
+reported as ``turangap <command>: <message>``.  ``chain --m`` and
+``--slow`` exclude each other.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
@@ -48,63 +51,48 @@ from .patterns import BlowupSpec, blow_up, blowup_edge_count, load_pattern
 from .simplex import OptimizerConfig, certificate, maximize
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    outputs: list[str]
-    wall_time_s: float
+@dataclass(frozen=True)
+class Result:
+    """One subcommand's output: content-address ``params`` without ``format``,
+    the json object, a (csv header, rows) ``table`` or the finished text of a
+    ``.txt`` artifact, summary lines, and False in ``ok`` if a check failed.
+    """
+
+    params: dict
+    json: object
+    table: tuple[list[str], list[list]] | str
+    summary: list[str]
+    ok: bool = True
 
 
-def _artifact_paths(command: str, params: dict, seed, out_dir: str, ext: str):
-    key = json.dumps(
-        {"command": command, "parameters": params, "seed": seed, "version": __version__},
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
-    base = os.path.join(out_dir, f"{command}-{digest}")
-    return base + ext, base + ".manifest.json"
-
-
-def _write_artifacts(
-    command: str,
-    params: dict,
-    seed,
-    out_dir: str,
-    ext: str,
-    content: str,
-    started: float,
-) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    primary, manifest_path = _artifact_paths(command, params, seed, out_dir, ext)
-    with open(primary, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-    manifest = RunManifest(
-        command=command,
-        parameters=params,
-        seed=seed,
-        version=__version__,
-        outputs=[os.path.basename(primary)],
-        wall_time_s=round(time.perf_counter() - started, 6),
-    )
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
-    return primary
-
-
-def _csv_content(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_content(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _write(args, result: Result, wall_time_s: float) -> str:
+    """Write the artifact in ``args.format`` and its manifest; return the path."""
+    if args.format == "json":
+        content, ext = json.dumps(result.json, indent=2) + "\n", ".json"
+    elif isinstance(result.table, str):
+        content, ext = result.table, ".txt"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(result.table[0])
+        writer.writerows(result.table[1])
+        content, ext = buf.getvalue(), ".csv"
+    # the first four manifest keys are the content address
+    manifest = {
+        "command": args.command,
+        "parameters": {**result.params, "format": args.format},
+        "seed": args.seed,
+        "version": __version__,
+    }
+    key = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    base = os.path.join(args.out, f"{args.command}-{hashlib.sha256(key).hexdigest()[:12]}")
+    manifest.update(outputs=[os.path.basename(base + ext)], wall_time_s=wall_time_s)
+    os.makedirs(args.out, exist_ok=True)
+    for path, text in ((base + ext, content),
+                       (base + ".manifest.json", json.dumps(manifest, indent=2) + "\n")):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return base + ext
 
 
 def _frac_str(f: Fraction) -> str:
@@ -121,42 +109,31 @@ def _opt_config(args) -> OptimizerConfig:
     )
 
 
-def _handle_lagrangian(args) -> int:
-    started = time.perf_counter()
+def _handle_lagrangian(args) -> Result:
     pattern = load_pattern(args.pattern)
     res = maximize(pattern, _opt_config(args))
-    cert = certificate(pattern, res)
     params = {
         "pattern": os.path.abspath(args.pattern),
         "starts": args.starts,
         "max_iter": args.max_iter,
-        "format": args.format,
     }
-    if args.format == "json":
-        content, ext = _json_content(cert), ".json"
-    else:
-        point = " ".join(f"{v:.17g}" for v in res.point)
-        content = _csv_content(
-            ["value", "kkt_residual", "starts", "seed", "point"],
-            [[f"{res.value:.17g}", f"{res.kkt_residual:.3e}", res.starts_used, res.seed, point]],
-        )
-        ext = ".csv"
-    path = _write_artifacts("lagrangian", params, args.seed, args.out, ext, content, started)
-    print(f"pattern: r={pattern.r} m={pattern.m} multisets={len(pattern.multisets)}")
-    print(f"value:        {res.value:.12f}")
-    print(f"point:        ({', '.join(f'{v:.6f}' for v in res.point)})")
-    print(f"kkt residual: {res.kkt_residual:.3e}")
-    print(f"wrote {path}")
-    return 0
+    point = " ".join(f"{v:.17g}" for v in res.point)
+    table = (
+        ["value", "kkt_residual", "starts", "seed", "point"],
+        [[f"{res.value:.17g}", f"{res.kkt_residual:.3e}", res.starts_used, res.seed, point]],
+    )
+    summary = [
+        f"pattern: r={pattern.r} m={pattern.m} multisets={len(pattern.multisets)}",
+        f"value:        {res.value:.12f}",
+        f"point:        ({', '.join(f'{v:.6f}' for v in res.point)})",
+        f"kkt residual: {res.kkt_residual:.3e}",
+    ]
+    return Result(params, certificate(pattern, res), table, summary)
 
 
-def _handle_chain(args) -> int:
-    started = time.perf_counter()
+def _handle_chain(args) -> Result:
     r = args.r
     m = minimal_m(r) if args.slow else args.m
-    if m is None:
-        print("chain: --m is required unless --slow is given", file=sys.stderr)
-        return 2
     config = ChainConfig(r=r, m=m, edge_order=args.order, opt=_opt_config(args))
     lad = build_chain_ladder(config)
     gap = verify_gap_bound(lad)
@@ -168,139 +145,98 @@ def _handle_chain(args) -> int:
         "starts": args.starts,
         "max_iter": args.max_iter,
         "slow": bool(args.slow),
-        "format": args.format,
     }
     steps = (0.0,) + lad.steps
     rows = [
         [i, i, f"{lad.values[i]:.17g}", f"{steps[i]:.17g}", f"{lad.kkt_residuals[i]:.3e}"]
         for i in range(len(lad.values))
     ]
-    if args.format == "json":
-        obj = {
-            "r": r,
-            "m": m,
-            "order": args.order,
-            "values": [float(v) for v in lad.values],
-            "steps": [float(s) for s in steps],
-            "kkt_residuals": [float(k) for k in lad.kkt_residuals],
-            "max_step": lad.max_step,
-            "max_step_index": lad.max_step_index,
-            "gap_ok": gap.ok,
-            "near_equality_ok": near.ok,
-        }
-        content, ext = _json_content(obj), ".json"
-    else:
-        content = _csv_content(["index", "num_edges", "value", "step", "kkt_residual"], rows)
-        ext = ".csv"
-    path = _write_artifacts("chain", params, args.seed, args.out, ext, content, started)
-    print(f"chain r={r} m={m} order={args.order}: {len(lad.edges)} edges")
-    print(f"top value:  {lad.values[-1]:.9f} (threshold {gap.top_threshold:.9f}, "
-          f"checked: {gap.top_checked})")
-    print(f"max step:   {lad.max_step:.9f} at index {lad.max_step_index} "
-          f"(bound {gap.bound:.9f})")
-    print(f"step bound: {'ok' if not gap.step_violations else f'VIOLATED at {gap.step_violations}'}")
-    print(f"near-equality rungs {near.triggered}: "
-          f"{'ok' if near.ok else f'VIOLATED at {near.violations}'}")
-    print(f"wrote {path}")
-    return 0 if (gap.ok and near.ok) else 1
+    obj = {
+        "r": r,
+        "m": m,
+        "order": args.order,
+        "values": [float(v) for v in lad.values],
+        "steps": [float(s) for s in steps],
+        "kkt_residuals": [float(k) for k in lad.kkt_residuals],
+        "max_step": lad.max_step,
+        "max_step_index": lad.max_step_index,
+        "gap_ok": gap.ok,
+        "near_equality_ok": near.ok,
+    }
+    summary = [
+        f"chain r={r} m={m} order={args.order}: {len(lad.edges)} edges",
+        f"top value:  {lad.values[-1]:.9f} (threshold {gap.top_threshold:.9f}, "
+        f"checked: {gap.top_checked})",
+        f"max step:   {lad.max_step:.9f} at index {lad.max_step_index} "
+        f"(bound {gap.bound:.9f})",
+        f"step bound: {'ok' if not gap.step_violations else f'VIOLATED at {gap.step_violations}'}",
+        f"near-equality rungs {near.triggered}: "
+        f"{'ok' if near.ok else f'VIOLATED at {near.violations}'}",
+    ]
+    table = (["index", "num_edges", "value", "step", "kkt_residual"], rows)
+    return Result(params, obj, table, summary, gap.ok and near.ok)
 
 
-def _mc_table(r: int, trials: int, seed: int):
-    freq = monte_carlo_urns(r, trials, seed)
-    rows = []
-    worst = 0.0
-    for comp, f in freq.items():
-        p = float(urn_probability_exact(comp))
-        se = sqrt(p * (1 - p) / trials)
-        dev = abs(f - p) / se if se > 0 else 0.0
-        worst = max(worst, dev)
-        rows.append((comp, p, f, dev))
-    return rows, worst
-
-
-def _handle_ladder(args) -> int:
-    started = time.perf_counter()
+def _handle_ladder(args) -> Result:
     entries = ladder(args.r)
-    params = {"r": args.r, "mc_trials": args.mc_trials, "format": args.format}
+    params = {"r": args.r, "mc_trials": args.mc_trials}
     rows = []
+    summary = [f"ladder r={args.r}: {len(entries) - 1} rungs"]
     for e in entries:
         comp = "-".join(map(str, e.composition)) if e.composition else ""
         rows.append(
             [e.index, comp, e.value.numerator, e.value.denominator,
              e.step.numerator, e.step.denominator]
         )
-    if args.format == "json":
-        obj = {
-            "r": args.r,
-            "entries": [
-                {
-                    "index": e.index,
-                    "composition": list(e.composition) if e.composition else None,
-                    "value": _frac_str(e.value),
-                    "step": _frac_str(e.step),
-                }
-                for e in entries
-            ],
-        }
-        content, ext = _json_content(obj), ".json"
-    else:
-        content = _csv_content(
-            ["index", "composition", "value_num", "value_den", "step_num", "step_den"],
-            rows,
-        )
-        ext = ".csv"
-    path = _write_artifacts("ladder", params, args.seed, args.out, ext, content, started)
-    print(f"ladder r={args.r}: {len(entries) - 1} rungs")
-    for e in entries:
-        comp = "-".join(map(str, e.composition)) if e.composition else "(start)"
-        print(f"  {e.index:3d}  {comp:<24} value {str(e.value):<12} step {e.step}")
-    code = 0
+        summary.append(f"  {e.index:3d}  {comp or '(start)':<24} value {str(e.value):<12} "
+                       f"step {e.step}")
+    obj = {
+        "r": args.r,
+        "entries": [
+            {
+                "index": e.index,
+                "composition": list(e.composition) if e.composition else None,
+                "value": _frac_str(e.value),
+                "step": _frac_str(e.step),
+            }
+            for e in entries
+        ],
+    }
+    table = (["index", "composition", "value_num", "value_den", "step_num", "step_den"], rows)
+    worst = 0.0
     if args.mc_trials:
-        mc_rows, worst = _mc_table(args.r, args.mc_trials, args.seed)
-        print(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
-        for comp, p, f, dev in mc_rows:
-            print(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
-                  f"empirical {f:.6f} ({dev:.2f} se)")
-        print(f"worst deviation: {worst:.2f} standard errors (limit 4)")
-        if worst > 4.0:
-            code = 1
-    print(f"wrote {path}")
-    return code
+        freq = monte_carlo_urns(args.r, args.mc_trials, args.seed)
+        summary.append(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
+        for comp, f in freq.items():
+            p = float(urn_probability_exact(comp))
+            se = sqrt(p * (1 - p) / args.mc_trials)
+            dev = abs(f - p) / se if se > 0 else 0.0
+            worst = max(worst, dev)
+            summary.append(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
+                           f"empirical {f:.6f} ({dev:.2f} se)")
+        summary.append(f"worst deviation: {worst:.2f} standard errors (limit 4)")
+    return Result(params, obj, table, summary, worst <= 4.0)
 
 
-def _handle_max_step(args) -> int:
-    started = time.perf_counter()
+def _handle_max_step(args) -> Result:
     step, comp = max_step(args.r)
-    params = {"r": args.r, "format": args.format}
-    if args.format == "json":
-        content = _json_content(
-            {"r": args.r, "step": _frac_str(step), "composition": list(comp)}
-        )
-        ext = ".json"
-    else:
-        content = _csv_content(
-            ["r", "step_num", "step_den", "composition"],
-            [[args.r, step.numerator, step.denominator, "-".join(map(str, comp))]],
-        )
-        ext = ".csv"
-    path = _write_artifacts("max-step", params, None, args.out, ext, content, started)
-    print(f"largest ladder step for r={args.r}: {step} "
-          f"(= {float(step):.9f}) at composition {comp}")
-    print(f"wrote {path}")
-    return 0
+    obj = {"r": args.r, "step": _frac_str(step), "composition": list(comp)}
+    table = (
+        ["r", "step_num", "step_den", "composition"],
+        [[args.r, step.numerator, step.denominator, "-".join(map(str, comp))]],
+    )
+    summary = [f"largest ladder step for r={args.r}: {step} "
+               f"(= {float(step):.9f}) at composition {comp}"]
+    return Result({"r": args.r}, obj, table, summary)
 
 
-def _handle_lemma_check(args) -> int:
-    started = time.perf_counter()
+def _handle_lemma_check(args) -> Result:
     if args.downset:
         down = load_downset(args.downset)
         if down.r != args.r or down.s != args.s:
-            print(
-                f"lemma-check: file has r={down.r} s={down.s}, flags say "
-                f"r={args.r} s={args.s}",
-                file=sys.stderr,
+            raise ValueError(
+                f"file has r={down.r} s={down.s}, flags say r={args.r} s={args.s}"
             )
-            return 2
         sets = [down]
     else:
         sets = list(iter_down_sets(args.r, args.s))
@@ -313,159 +249,114 @@ def _handle_lemma_check(args) -> int:
         "downset": os.path.abspath(args.downset) if args.downset else None,
         "starts": args.starts,
         "max_iter": args.max_iter,
-        "format": args.format,
     }
     rows = []
+    summary = [f"lemma-check r={args.r} s={args.s}: {len(reports)} down-closed families"]
     for rep in reports:
-        members = ";".join("-".join(map(str, c)) for c in rep.down_set.sorted_members())
+        status = "pass" if rep.passed else "FAIL"
+        members = rep.down_set.sorted_members()
         rows.append(
             [
-                members,
+                ";".join("-".join(map(str, c)) for c in members),
                 rep.uniform_value.numerator,
                 rep.uniform_value.denominator,
                 f"{rep.opt_value:.17g}",
                 f"{rep.kkt_residual:.3e}",
                 "" if rep.grid_bound is None else f"{rep.grid_bound:.17g}",
-                "pass" if rep.passed else "FAIL",
+                status,
             ]
         )
-    if args.format == "json":
-        obj = {
-            "r": args.r,
-            "s": args.s,
-            "reports": [
-                {
-                    "down_set": downset_to_dict(rep.down_set),
-                    "uniform_value": _frac_str(rep.uniform_value),
-                    "opt_value": rep.opt_value,
-                    "kkt_residual": rep.kkt_residual,
-                    "grid_bound": rep.grid_bound,
-                    "passed": rep.passed,
-                }
-                for rep in reports
-            ],
-        }
-        content, ext = _json_content(obj), ".json"
-    else:
-        content = _csv_content(
-            ["members", "uniform_num", "uniform_den", "opt_value", "kkt_residual",
-             "grid_bound", "status"],
-            rows,
-        )
-        ext = ".csv"
-    path = _write_artifacts("lemma-check", params, args.seed, args.out, ext, content, started)
-    ok = all(rep.passed for rep in reports)
-    print(f"lemma-check r={args.r} s={args.s}: {len(reports)} down-closed families")
-    for rep in reports:
-        members = "{" + ", ".join(str(c) for c in rep.down_set.sorted_members()) + "}"
-        print(f"  {'pass' if rep.passed else 'FAIL'}  uniform {str(rep.uniform_value):<10} "
-              f"optimizer {rep.opt_value:.12f}  {members}")
-    print(f"wrote {path}")
-    return 0 if ok else 1
+        summary.append(f"  {status}  uniform {str(rep.uniform_value):<10} "
+                       f"optimizer {rep.opt_value:.12f}  "
+                       "{" + ", ".join(str(c) for c in members) + "}")
+    obj = {
+        "r": args.r,
+        "s": args.s,
+        "reports": [
+            {
+                "down_set": downset_to_dict(rep.down_set),
+                "uniform_value": _frac_str(rep.uniform_value),
+                "opt_value": rep.opt_value,
+                "kkt_residual": rep.kkt_residual,
+                "grid_bound": rep.grid_bound,
+                "passed": rep.passed,
+            }
+            for rep in reports
+        ],
+    }
+    table = (
+        ["members", "uniform_num", "uniform_den", "opt_value", "kkt_residual",
+         "grid_bound", "status"],
+        rows,
+    )
+    return Result(params, obj, table, summary, all(rep.passed for rep in reports))
 
 
-def _handle_bunching(args) -> int:
-    started = time.perf_counter()
+def _handle_bunching(args) -> Result:
     try:
         h = Fraction(args.h)
     except (ValueError, ZeroDivisionError):
-        print(f"bunching: cannot parse --h value {args.h!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse --h value {args.h!r}") from None
     report = bunching_verify(args.r, h, seed=args.seed)
-    params = {"r": args.r, "h": str(h), "format": args.format}
     rows = []
+    summary = [f"bunching r={args.r} h={h}: grouped coefficients"]
     for j2, coeff in report.coefficients:
         j = Fraction(j2, 2)
         region = "inside" if abs(j2) <= report.h2 else "outside"
         rows.append([str(j), coeff.numerator, coeff.denominator, region])
-    if args.format == "json":
-        obj = {
-            "r": args.r,
-            "h": str(h),
-            "coefficients": [
-                {"j": str(Fraction(j2, 2)), "coefficient": _frac_str(c)}
-                for j2, c in report.coefficients
-            ],
-            "inside_ok": report.inside_ok,
-            "outside_ok": report.outside_ok,
-            "zero_sum_ok": report.zero_sum_ok,
-            "sample_min": str(report.sample_min),
-            "passed": report.passed,
-        }
-        content, ext = _json_content(obj), ".json"
-    else:
-        content = _csv_content(
-            ["j", "coeff_num", "coeff_den", "region"], rows
-        )
-        ext = ".csv"
-    path = _write_artifacts("bunching", params, args.seed, args.out, ext, content, started)
-    print(f"bunching r={args.r} h={h}: grouped coefficients")
-    for j2, coeff in report.coefficients:
-        region = "inside" if abs(j2) <= report.h2 else "outside"
-        print(f"  j={str(Fraction(j2, 2)):>5}  {str(coeff):>16}  ({region})")
-    print(f"signs ok: {report.inside_ok and report.outside_ok}   "
-          f"zero sum: {report.zero_sum_ok}   "
-          f"sampled min: {float(report.sample_min):.3e} over {report.samples} points")
-    print(f"wrote {path}")
-    return 0 if report.passed else 1
+        summary.append(f"  j={str(j):>5}  {str(coeff):>16}  ({region})")
+    summary.append(f"signs ok: {report.inside_ok and report.outside_ok}   "
+                   f"zero sum: {report.zero_sum_ok}   "
+                   f"sampled min: {float(report.sample_min):.3e} over {report.samples} points")
+    obj = {
+        "r": args.r,
+        "h": str(h),
+        "coefficients": [{"j": j, "coefficient": f"{n}/{d}"} for j, n, d, _ in rows],
+        "inside_ok": report.inside_ok,
+        "outside_ok": report.outside_ok,
+        "zero_sum_ok": report.zero_sum_ok,
+        "sample_min": str(report.sample_min),
+        "passed": report.passed,
+    }
+    table = (["j", "coeff_num", "coeff_den", "region"], rows)
+    return Result({"r": args.r, "h": str(h)}, obj, table, summary, report.passed)
 
 
-def _handle_blow_up(args) -> int:
-    started = time.perf_counter()
+def _handle_blow_up(args) -> Result:
     pattern = load_pattern(args.pattern)
     try:
         sizes = tuple(int(v) for v in args.sizes.split(","))
     except ValueError:
-        print(f"blow-up: cannot parse --sizes value {args.sizes!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse --sizes value {args.sizes!r}") from None
     spec = BlowupSpec(pattern, sizes)
     edges = blow_up(spec)
     expected = blowup_edge_count(spec)
     params = {
         "pattern": os.path.abspath(args.pattern),
         "sizes": list(sizes),
-        "format": args.format,
     }
-    if args.format == "json":
-        content = _json_content(
-            {"part_sizes": list(sizes), "edge_count": len(edges),
-             "edges": [list(e) for e in edges]}
-        )
-        ext = ".json"
-    else:
-        content = "".join(" ".join(map(str, e)) + "\n" for e in edges)
-        ext = ".txt"
-    path = _write_artifacts("blow-up", params, None, args.out, ext, content, started)
-    print(f"blow-up of r={pattern.r} m={pattern.m} pattern with sizes {sizes}: "
-          f"{len(edges)} edges (closed form {expected})")
-    print(f"wrote {path}")
-    return 0 if len(edges) == expected else 1
+    obj = {"part_sizes": list(sizes), "edge_count": len(edges),
+           "edges": [list(e) for e in edges]}
+    text = "".join(" ".join(map(str, e)) + "\n" for e in edges)
+    summary = [f"blow-up of r={pattern.r} m={pattern.m} pattern with sizes {sizes}: "
+               f"{len(edges)} edges (closed form {expected})"]
+    return Result(params, obj, text, summary, len(edges) == expected)
 
 
-def _handle_minimal_m(args) -> int:
-    started = time.perf_counter()
+def _handle_minimal_m(args) -> Result:
     m = minimal_m(args.r)
-    params = {"r": args.r, "format": args.format}
-    if args.format == "json":
-        content, ext = _json_content({"r": args.r, "m": m}), ".json"
-    else:
-        content, ext = _csv_content(["r", "m"], [[args.r, m]]), ".csv"
-    path = _write_artifacts("minimal-m", params, None, args.out, ext, content, started)
-    print(m)
-    print(f"wrote {path}")
-    return 0
+    return Result({"r": args.r}, {"r": args.r, "m": m}, (["r", "m"], [[args.r, m]]), [str(m)])
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub, seed=True, fmt=True):
+def _add_common(sub, seed=True):
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    if fmt:
-        sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="machine-readable artifact format (default csv)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="machine-readable artifact format (default csv)")
     sub.add_argument("--out", default=".", help="artifact directory (default .)")
 
 
@@ -492,10 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="certified ladder over a one-edge-at-a-time chain")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--m", type=int, default=None)
+    group.add_argument("--slow", action="store_true",
+                       help="use m = minimal_m(r) instead of --m")
     p.add_argument("--order", choices=("colex", "lex", "random"), default="colex")
-    p.add_argument("--slow", action="store_true",
-                   help="use m = minimal_m(r) instead of --m")
     _add_opt_flags(p)
     _add_common(p)
     p.set_defaults(handler=_handle_chain)
@@ -553,11 +445,17 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        path = _write(args, result, round(time.perf_counter() - started, 6))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"turangap {args.command}: {exc}", file=sys.stderr)
         return 2
+    for line in result.summary:
+        print(line)
+    print(f"wrote {path}")
+    return 0 if result.ok else 1
 
 
 def main() -> None:

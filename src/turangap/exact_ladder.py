@@ -26,8 +26,6 @@ import numpy as np
 from .dominance import Composition, DownSet, linear_extension, pattern_of
 from .simplex import OptResult, OptimizerConfig, certify_max_upper, maximize
 
-from .patterns import eval_uniform_exact, lagrange_polynomial
-
 
 @lru_cache(maxsize=None)
 def _profile_weight_buckets(r: int, s: int) -> dict[Composition, int]:
@@ -229,8 +227,3 @@ def verify_lemma(
         grid_bound=grid_bound,
         point=tuple(float(v) for v in res.point),
     )
-
-
-def uniform_value_via_polynomial(a: DownSet) -> Fraction:
-    """Second route to the uniform value, through the pattern polynomial."""
-    return eval_uniform_exact(lagrange_polynomial(pattern_of(a)), a.s)

@@ -200,14 +200,6 @@ class LagrangePolynomial:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        """Exact coefficient of the given exponent vector (0 if absent)."""
-        key = tuple(exps)
-        for e, c in self.monomials:
-            if e == key:
-                return c
-        return Fraction(0)
-
     def coefficient_sum(self) -> Fraction:
         return sum((c for _, c in self.monomials), Fraction(0))
 

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through dispatch()."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,27 @@ def test_chain_subcommand(tmp_path, capsys):
 
 def test_chain_requires_m_without_slow(tmp_path):
     assert dispatch(["chain", "--r", "3", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ladder", "--r", "3", "--mc-trials", "-1"],
+        ["chain", "--r", "3"],
+        ["chain", "--r", "3", "--m", "4", "--slow"],
+        ["bunching", "--r", "4", "--h", "wat"],
+        ["blow-up", "--pattern", "PATTERN", "--sizes", "2,x,2"],
+        ["lemma-check", "--r", "4", "--s", "2", "--downset", "DOWNSET"],
+    ],
+    ids=" ".join,
+)
+def test_failed_run_writes_nothing(tmp_path, pattern_file, argv):
+    down = tmp_path / "down.json"
+    down.write_text(json.dumps(downset_to_dict(DownSet.from_generators(3, 2, [(2, 1)]))))
+    files = {"PATTERN": pattern_file, "DOWNSET": str(down)}
+    out = tmp_path / "out"
+    assert dispatch([files.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_ladder_csv_columns(tmp_path, capsys):
@@ -273,3 +295,50 @@ def test_pattern_roundtrip_through_cli(tmp_path):
     primaries, _ = _artifacts(tmp_path, "lagrangian-")
     cert = json.loads(primaries[0].read_text())
     assert abs(cert["value"] - 6 / 27) < 1e-9
+
+
+# exact-Fraction outputs whose params hold no file path: names and bytes are
+# platform independent, and each name pins the content address
+PINNED = {
+    ("ladder", "--r", "4"): {
+        "csv": ("ladder-c01f9b422f17.csv",
+                "5df58301aadaeffed54688f029723aa642920afbc766bf5d96db2b605f4011c6"),
+        "json": ("ladder-8550687cd69c.json",
+                 "cd87fd73a5ce1b00409efe8b3904b2f30dd3f0f9cd7c8c72a3699011762b80b9"),
+    },
+    ("max-step", "--r", "6"): {
+        "csv": ("max-step-696f14d6bc8f.csv",
+                "45805e71012c8b7e0190fb808d979d470e0ffe9c615c75e6f0607f40abd3b3fa"),
+        "json": ("max-step-50eb37c6924e.json",
+                 "df37fdd6fd0b0118884e6548d947989abab3c3827f56ce139cc0d14fc65664d9"),
+    },
+    ("bunching", "--r", "4", "--h", "1"): {
+        "csv": ("bunching-17362bd70ee6.csv",
+                "d58a75d7bed7f38517ce3511a5d8a4d5d3c70df1a0c911457c4b549d020902c2"),
+        "json": ("bunching-68e79347c3d0.json",
+                 "7c368638102646f2e4c904be8a26dd24537f5825edf2b14b736c669c4e22355e"),
+    },
+    ("bunching", "--r", "3", "--h", "3/2"): {
+        "csv": ("bunching-6a343fae0e69.csv",
+                "c99c3f43c050c53dedc32ffdbc9f67a1838df15c239b6782531b9e8e7446e305"),
+        "json": ("bunching-a3d5e69cfc39.json",
+                 "df6d2513ce06720f8ee0bc180f378c125f1443f23a11998e04f66edfa55e658f"),
+    },
+    ("minimal-m", "--r", "3"): {
+        "csv": ("minimal-m-d235ff75d77a.csv",
+                "acbda759388406932b4e0bd4132d4f2d176a69ff601213446361979094a00f51"),
+        "json": ("minimal-m-0df2fac7ae62.json",
+                 "40ecd3c10b2ea9311d178aa5a119c7af21b8844773f665586b9d68c859d0ecad"),
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_artifacts_are_pinned(tmp_path, argv, fmt):
+    assert dispatch(list(argv) + ["--format", fmt, "--out", str(tmp_path)]) == 0
+    primaries, manifests = _artifacts(tmp_path, argv[0] + "-")
+    name, digest = PINNED[argv][fmt]
+    assert [p.name for p in primaries] == [name]
+    assert hashlib.sha256(primaries[0].read_bytes()).hexdigest() == digest
+    assert json.loads(manifests[0].read_text())["outputs"] == [name]

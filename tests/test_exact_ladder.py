@@ -8,16 +8,23 @@ import pytest
 from turangap import (
     DownSet,
     LadderEntry,
+    eval_uniform_exact,
     ladder,
+    lagrange_polynomial,
     linear_extension,
     max_step,
     monte_carlo_urns,
     occupancy_count,
+    pattern_of,
     uniform_value_exact,
-    uniform_value_via_polynomial,
     urn_probability_exact,
     verify_lemma,
 )
+
+
+def uniform_value_via_polynomial(a: DownSet) -> Fraction:
+    """Second route to the uniform value, through the pattern polynomial."""
+    return eval_uniform_exact(lagrange_polynomial(pattern_of(a)), a.s)
 
 
 def _brute_occupancy_counts(r: int, s: int) -> dict:
