@@ -178,6 +178,8 @@ def _handle_chain(args) -> Result:
 
 
 def _handle_ladder(args) -> Result:
+    # Monte Carlo first: it rejects a bad trial count before the ladder is built
+    freq = monte_carlo_urns(args.r, args.mc_trials, args.seed) if args.mc_trials else None
     entries = ladder(args.r)
     params = {"r": args.r, "mc_trials": args.mc_trials}
     rows = []
@@ -204,8 +206,7 @@ def _handle_ladder(args) -> Result:
     }
     table = (["index", "composition", "value_num", "value_den", "step_num", "step_den"], rows)
     worst = 0.0
-    if args.mc_trials:
-        freq = monte_carlo_urns(args.r, args.mc_trials, args.seed)
+    if freq is not None:
         summary.append(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
         for comp, f in freq.items():
             p = float(urn_probability_exact(comp))

@@ -7,18 +7,19 @@ Walking a dominance-respecting enumeration of the compositions of r into
 r parts therefore yields a ladder of exact values from 0 to 1 whose steps
 are single occupancy probabilities.
 
-Two independent routes to every count are kept apart deliberately: the
-enumeration route sums multinomial weights over ordered occupancy vectors,
-while the closed-form route multiplies a ball-assignment factor by an
-urn-arrangement factor.  Tests compare them against each other and against
-brute-force function enumeration.
+Every occupancy count comes from one closed form, `occupancy_count`,
+which multiplies a ball-assignment factor by an urn-arrangement factor and
+so needs only the partitions of r, not the ordered occupancy vectors.  The
+tests check it against independent oracles: brute-force enumeration of all
+s^r functions, a multinomial sum over ordered occupancy vectors, and the
+pattern polynomial evaluated at the uniform point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -27,40 +28,13 @@ from .dominance import Composition, DownSet, linear_extension, pattern_of
 from .simplex import OptResult, OptimizerConfig, certify_max_upper, maximize
 
 
-@lru_cache(maxsize=None)
-def _profile_weight_buckets(r: int, s: int) -> dict[Composition, int]:
-    """Number of functions [r] -> [s] per sorted fiber-size vector.
-
-    Enumerates ordered occupancy vectors depth-first, accumulating the
-    multinomial weight r!/prod(e_i!) that counts the functions realizing
-    each vector, and buckets the weights by sorted vector.
-    """
-    buckets: dict[Composition, int] = {}
-    rf = factorial(r)
-
-    def rec(slot: int, remaining: int, denom: int, prefix: tuple[int, ...]) -> None:
-        if slot == s - 1:
-            full = prefix + (remaining,)
-            key = tuple(sorted(full, reverse=True))
-            weight = rf // (denom * factorial(remaining))
-            buckets[key] = buckets.get(key, 0) + weight
-            return
-        for e in range(remaining + 1):
-            rec(slot + 1, remaining - e, denom * factorial(e), prefix + (e,))
-
-    rec(0, r, 1, ())
-    return buckets
-
-
 def uniform_value_exact(a: DownSet) -> Fraction:
     """Probability that the sorted occupancy of r balls in s urns lies in a.
 
-    Computed by the enumeration route (multinomial weights of ordered
-    occupancy vectors); equals the uniform-point value of the pattern's
-    polynomial.
+    Sums the closed-form occupancy counts of the members; equals the
+    uniform-point value of the pattern's polynomial.
     """
-    buckets = _profile_weight_buckets(a.r, a.s)
-    hits = sum(buckets.get(c, 0) for c in a.members)
+    hits = sum(occupancy_count(c, a.s) for c in a.members)
     return Fraction(hits, a.s**a.r)
 
 
@@ -124,12 +98,11 @@ def ladder(r: int) -> tuple[LadderEntry, ...]:
     composition, and the final value is exactly 1.
     """
     order = linear_extension(r)
-    buckets = _profile_weight_buckets(r, r)
     denom = r**r
     entries = [LadderEntry(0, None, Fraction(0), Fraction(0))]
     acc = 0
     for i, comp in enumerate(order, start=1):
-        w = buckets.get(comp, 0)
+        w = occupancy_count(comp, r)
         acc += w
         entries.append(
             LadderEntry(i, comp, Fraction(acc, denom), Fraction(w, denom))
@@ -141,13 +114,9 @@ def ladder(r: int) -> tuple[LadderEntry, ...]:
 
 def max_step(r: int) -> tuple[Fraction, Composition]:
     """Largest ladder step and its composition; ties to the lowest index."""
-    best: tuple[Fraction, Composition] | None = None
-    for e in ladder(r)[1:]:
-        if best is None or e.step > best[0]:
-            assert e.composition is not None
-            best = (e.step, e.composition)
-    assert best is not None
-    return best
+    best = max(ladder(r)[1:], key=lambda e: e.step)  # max keeps the first of equals
+    assert best.composition is not None
+    return best.step, best.composition
 
 
 def monte_carlo_urns(
@@ -156,21 +125,24 @@ def monte_carlo_urns(
     """Empirical frequencies of sorted occupancy vectors, seeded.
 
     Every composition of r into r parts appears as a key, unseen ones with
-    frequency 0.  Identical seeds give identical output.
+    frequency 0.  Identical seeds give identical output.  Raises
+    ValueError for trials < 1 or r < 1 before anything is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    order = linear_extension(r)
     rng = np.random.default_rng(seed)
     throws = rng.integers(0, r, size=(trials, r))
     offsets = np.arange(trials, dtype=np.int64)[:, None] * r
     flat = (throws + offsets).ravel()
     occ = np.bincount(flat, minlength=trials * r).reshape(trials, r)
     occ = -np.sort(-occ, axis=1)
-    uniq, counts = np.unique(occ, axis=0, return_counts=True)
-    freq = {comp: 0.0 for comp in linear_extension(r)}
-    for row, c in zip(uniq, counts):
-        freq[tuple(int(v) for v in row)] = c / trials
-    return freq
+    # each row as one r-byte void scalar, which tolist() turns into bytes;
+    # one byte per urn holds every count up to r = 255, far beyond any r
+    # whose linear_extension can be listed
+    rows = occ.astype(np.uint8).view(f"V{r}").ravel()
+    tally = Counter(rows.tolist())
+    return {comp: tally[bytes(comp)] / trials for comp in order}
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ from turangap import (
     verify_lemma,
 )
 
+from oracles import enumerated_occupancy_counts
+
 WORKED = Pattern.from_element_lists(3, 3, [(1, 1, 2), (1, 2, 3)])
 
 
@@ -106,7 +108,6 @@ def test_criterion_04_chain_m6(capsys):
     _report(capsys, "04 chain r=3 m=6: monotone to 5/9, steps within 2/9, near-equality", failures)
 
 
-@pytest.mark.slow
 def test_criterion_04b_chain_crosses_threshold(capsys):
     failures = []
     m = minimal_m(3)
@@ -120,6 +121,10 @@ def test_criterion_04b_chain_crosses_threshold(capsys):
         failures.append(f"top {gap.top_value} vs 132/169")
     if not gap.ok:
         failures.append("gap report not ok")
+    if max(lad.kkt_residuals) >= 1e-6:
+        failures.append(f"kkt residual {max(lad.kkt_residuals)}")
+    if not value_axis_cover_ok(lad):
+        failures.append("value axis not covered within the step bound")
     _report(capsys, "04b chain r=3 m=13: top value 132/169 crosses 1 - 2/9", failures)
 
 
@@ -145,9 +150,10 @@ def test_criterion_06_exact_ladders(capsys):
     failures = []
     for r in range(2, 11):
         rungs = ladder(r)
+        counts = enumerated_occupancy_counts(r, r)
         prev = Fraction(0)
         for entry in rungs[1:]:
-            if entry.step != urn_probability_exact(entry.composition):
+            if entry.step != Fraction(counts[entry.composition], r**r):
                 failures.append(f"r={r} rung {entry.index}: step mismatch")
             if entry.value != prev + entry.step:
                 failures.append(f"r={r} rung {entry.index}: telescoping broken")

@@ -130,16 +130,3 @@ def test_near_equality_flags_only_small_predecessors():
     assert near.triggered != ()
     assert near.violations == ()
     assert near.ok
-
-
-@pytest.mark.slow
-def test_m13_chain_crosses_the_top_threshold():
-    cfg = ChainConfig(3, 13, opt=OptimizerConfig(starts=30, seed=0))
-    lad = build_chain_ladder(cfg)
-    gap = verify_gap_bound(lad)
-    assert gap.top_checked
-    assert gap.top_value > 1 - 2 / 9
-    assert abs(gap.top_value - 132 / 169) < 1e-7
-    assert gap.ok
-    assert max(lad.kkt_residuals) < 1e-6
-    assert value_axis_cover_ok(lad)

@@ -117,6 +117,16 @@ def test_failed_run_writes_nothing(tmp_path, pattern_file, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_bad_trial_count_fails_before_the_ladder_is_built(tmp_path, capsys, monkeypatch):
+    def no_ladder(r):
+        raise AssertionError("ladder built before the trial count was checked")
+
+    monkeypatch.setattr("turangap.cli.ladder", no_ladder)
+    code = dispatch(["ladder", "--r", "3", "--mc-trials", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
 def test_ladder_csv_columns(tmp_path, capsys):
     code = dispatch(["ladder", "--r", "3", "--out", str(tmp_path)])
     assert code == 0

@@ -1,8 +1,10 @@
 """Exact ladders, urn probabilities, and the uniform-value lemma."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from math import factorial
 
+import numpy as np
 import pytest
 
 from turangap import (
@@ -21,33 +23,36 @@ from turangap import (
     verify_lemma,
 )
 
+from oracles import brute_occupancy_counts, enumerated_occupancy_counts
+
 
 def uniform_value_via_polynomial(a: DownSet) -> Fraction:
     """Second route to the uniform value, through the pattern polynomial."""
     return eval_uniform_exact(lagrange_polynomial(pattern_of(a)), a.s)
 
 
-def _brute_occupancy_counts(r: int, s: int) -> dict:
-    """Tally all s^r functions by sorted occupancy vector."""
-    counts: dict = {}
-    for func in product(range(s), repeat=r):
-        occ = [0] * s
-        for v in func:
+def _plain_monte_carlo(r: int, trials: int, seed: int) -> dict:
+    """Per-row Python tally of the same draws monte_carlo_urns makes."""
+    throws = np.random.default_rng(seed).integers(0, r, size=(trials, r))
+    tally: Counter = Counter()
+    for row in throws.tolist():
+        occ = [0] * r
+        for v in row:
             occ[v] += 1
-        key = tuple(sorted(occ, reverse=True))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        tally[tuple(sorted(occ, reverse=True))] += 1
+    return {comp: tally[comp] / trials for comp in linear_extension(r)}
 
 
 @pytest.mark.parametrize("r,s", [(2, 2), (3, 3), (4, 4), (5, 5), (3, 5), (5, 2), (6, 3), (6, 4)])
 def test_occupancy_count_vs_brute_force(r, s):
-    brute = _brute_occupancy_counts(r, s)
+    brute = brute_occupancy_counts(r, s)
     total = 0
     for comp, want in brute.items():
         got = occupancy_count(comp, s)
         assert got == want, (comp, got, want)
         total += got
     assert total == s**r
+    assert enumerated_occupancy_counts(r, s) == brute
 
 
 def test_occupancy_count_validation():
@@ -70,6 +75,7 @@ def test_urn_probability_examples():
 def test_ladder_telescopes_and_steps_are_urn_probabilities(r):
     rungs = ladder(r)
     order = linear_extension(r)
+    counts = enumerated_occupancy_counts(r, r)
     assert len(rungs) == len(order) + 1
     assert rungs[0] == LadderEntry(0, None, Fraction(0), Fraction(0))
     assert rungs[-1].value == 1
@@ -77,7 +83,7 @@ def test_ladder_telescopes_and_steps_are_urn_probabilities(r):
     for idx, entry in enumerate(rungs[1:], start=1):
         assert entry.index == idx
         assert entry.composition == order[idx - 1]
-        assert entry.step == urn_probability_exact(entry.composition)
+        assert entry.step == Fraction(counts[entry.composition], r**r)
         assert entry.value == prev + entry.step
         assert entry.value > prev
         prev = entry.value
@@ -121,9 +127,15 @@ def test_max_step_ties_go_to_earliest_rung():
 
 def test_largest_step_shrinks_from_r4_to_r12():
     big, comp = max_step(12)
+    # recorded by the multinomial enumeration route
     assert big == Fraction(741125, 3981312)
     assert comp == (3, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0)
-    assert big < max_step(4)[0]
+    # r = 30 has C(59, 30) ~ 6e16 ordered occupancy vectors, out of reach
+    # of any enumeration, but only p(30) = 5604 partitions
+    far, far_comp = max_step(30)
+    assert far < big < max_step(4)[0]
+    assert far >= Fraction(factorial(30), 30**30)
+    assert sum(far_comp) == 30 and len(far_comp) == 30
 
 
 def test_monte_carlo_deterministic_and_complete():
@@ -135,6 +147,25 @@ def test_monte_carlo_deterministic_and_complete():
     # every composition gets a key, even ones never sampled
     assert set(a) == set(linear_extension(3))
     assert abs(sum(a.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("r,trials,seed", [(3, 2000, 7), (8, 20000, 1), (17, 3000, 2)])
+def test_monte_carlo_tally_matches_plain_oracle(r, trials, seed):
+    # r = 17 is past the int64 range of a base-(r+1) key (18^17 > 2^63),
+    # where a key-and-bincount tally cannot run
+    freq = monte_carlo_urns(r, trials, seed)
+    assert list(freq) == list(linear_extension(r))
+    assert freq == _plain_monte_carlo(r, trials, seed)
+    if r > 3:  # rare shapes such as (r, 0, ..., 0) go unsampled
+        assert 0.0 in freq.values()
+
+
+def test_monte_carlo_validation():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo_urns(3, trials=0)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            monte_carlo_urns(r, trials=10)
 
 
 def test_monte_carlo_single_trial():
