@@ -10,7 +10,7 @@ tile shrinks as r grows.
 
 from fractions import Fraction
 
-from turangap import ladder, max_step, monte_carlo_urns, urn_probability_exact
+from turangap import ladder, max_step, mc_verdict, monte_carlo_urns, urn_probability_exact
 
 for r in (2, 3, 4):
     print(f"ladder r={r}:")
@@ -36,6 +36,9 @@ print(f"\n{trials} random throws, r=3:")
 for comp, f in freq.items():
     exact = urn_probability_exact(comp)
     print(f"  {comp}  exact {float(exact):.6f}  empirical {f:.6f}")
+verdict = mc_verdict(freq, trials, 3)
+print(f"worst n*KL {verdict.worst:.2f}, limit {verdict.limit:.2f} (false-alarm rate 1e-6)")
 
 assert sum(freq.values()) == 1.0
+assert verdict.ok
 assert sum((urn_probability_exact(c) for c in freq), Fraction(0)) == 1

@@ -43,6 +43,7 @@ from .dominance import (
 from .exact_ladder import (
     ladder,
     max_step,
+    mc_verdict,
     monte_carlo_urns,
     urn_probability_exact,
     verify_lemma,
@@ -205,18 +206,18 @@ def _handle_ladder(args) -> Result:
         ],
     }
     table = (["index", "composition", "value_num", "value_den", "step_num", "step_den"], rows)
-    worst = 0.0
-    if freq is not None:
-        summary.append(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
-        for comp, f in freq.items():
-            p = float(urn_probability_exact(comp))
-            se = sqrt(p * (1 - p) / args.mc_trials)
-            dev = abs(f - p) / se if se > 0 else 0.0
-            worst = max(worst, dev)
-            summary.append(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
-                           f"empirical {f:.6f} ({dev:.2f} se)")
-        summary.append(f"worst deviation: {worst:.2f} standard errors (limit 4)")
-    return Result(params, obj, table, summary, worst <= 4.0)
+    if freq is None:
+        return Result(params, obj, table, summary, True)
+    summary.append(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
+    for comp, f in freq.items():
+        p = float(urn_probability_exact(comp))
+        se = sqrt(p * (1 - p) / args.mc_trials)
+        dev = abs(f - p) / se if se > 0 else 0.0
+        summary.append(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
+                       f"empirical {f:.6f} ({dev:.2f} se)")
+    verdict = mc_verdict(freq, args.mc_trials, args.r)
+    summary.append(f"worst n*KL: {verdict.worst:.2f} (limit {verdict.limit:.2f})")
+    return Result(params, obj, table, summary, verdict.ok)
 
 
 def _handle_max_step(args) -> Result:

@@ -20,12 +20,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, log
+from typing import NamedTuple
 
 import numpy as np
 
 from .dominance import Composition, DownSet, linear_extension, pattern_of
 from .simplex import OptResult, OptimizerConfig, certify_max_upper, maximize
+
+_MC_BLOCK = 1 << 12  # Monte Carlo rows drawn and tallied at a time
+_MC_ALPHA = 1e-6  # false-alarm rate of one mc_verdict, over all its shapes
 
 
 def uniform_value_exact(a: DownSet) -> Fraction:
@@ -77,6 +81,12 @@ def urn_probability_exact(rr: Composition, s: int | None = None) -> Fraction:
     return Fraction(occupancy_count(rr, s), s**r)
 
 
+class MCVerdict(NamedTuple):
+    ok: bool
+    worst: float  # largest n*KL(f||p) over the shapes
+    limit: float  # log(2K/alpha) for K shapes
+
+
 @dataclass(frozen=True)
 class LadderEntry:
     index: int
@@ -126,23 +136,46 @@ def monte_carlo_urns(
 
     Every composition of r into r parts appears as a key, unseen ones with
     frequency 0.  Identical seeds give identical output.  Raises
-    ValueError for trials < 1 or r < 1 before anything is drawn.
+    ValueError for trials < 1 or r < 1 before anything is drawn.  Trials
+    are drawn and tallied in blocks of _MC_BLOCK rows, so memory is
+    O(_MC_BLOCK * r) whatever the trial count; the blocks consume the
+    random stream exactly as one draw of all the trials would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     order = linear_extension(r)
     rng = np.random.default_rng(seed)
-    throws = rng.integers(0, r, size=(trials, r))
-    offsets = np.arange(trials, dtype=np.int64)[:, None] * r
-    flat = (throws + offsets).ravel()
-    occ = np.bincount(flat, minlength=trials * r).reshape(trials, r)
-    occ = -np.sort(-occ, axis=1)
-    # each row as one r-byte void scalar, which tolist() turns into bytes;
-    # one byte per urn holds every count up to r = 255, far beyond any r
-    # whose linear_extension can be listed
-    rows = occ.astype(np.uint8).view(f"V{r}").ravel()
-    tally = Counter(rows.tolist())
+    tally: Counter[bytes] = Counter()
+    for start in range(0, trials, _MC_BLOCK):
+        n = min(_MC_BLOCK, trials - start)
+        throws = rng.integers(0, r, size=(n, r))
+        flat = (throws + np.arange(0, n * r, r)[:, None]).ravel()
+        occ = np.bincount(flat, minlength=n * r).reshape(n, r)
+        occ = -np.sort(-occ, axis=1)
+        # each row as one r-byte void scalar, which tolist() turns into bytes;
+        # one byte per urn holds every count up to r = 255, far beyond any r
+        # whose linear_extension can be listed
+        tally.update(occ.astype(np.uint8).view(f"V{r}").ravel().tolist())
     return {comp: tally[bytes(comp)] / trials for comp in order}
+
+
+def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict:
+    """Judge a Monte Carlo table against the exact occupancy probabilities.
+
+    For each of the K shapes the Chernoff-Hoeffding bound (Hoeffding 1963)
+    gives P(n*KL(F||p) >= t) <= 2*exp(-t) over both tails, so a union bound
+    over the shapes makes a correct sampler exceed log(2K/alpha) with
+    probability at most _MC_ALPHA.
+    """
+
+    def kl(f: float, p: float) -> float:  # Bernoulli relative entropy, 0 log 0 = 0
+        return sum(a * log(a / b) for a, b in ((f, p), (1 - f, 1 - p)) if a > 0)
+
+    worst = max(
+        trials * kl(f, occupancy_count(c, r) / r**r) for c, f in freq.items()
+    )
+    limit = log(2 * len(freq) / _MC_ALPHA)
+    return MCVerdict(worst <= limit, worst, limit)
 
 
 @dataclass(frozen=True)

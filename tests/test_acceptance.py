@@ -32,12 +32,12 @@ from turangap import (
     linear_extension,
     maximize,
     minimal_m,
+    mc_verdict,
     monte_carlo_urns,
     near_equality_check,
     occupancy_count,
     restrict,
     simple_pattern,
-    urn_probability_exact,
     value_axis_cover_ok,
     verify_gap_bound,
     verify_lemma,
@@ -181,18 +181,15 @@ def test_criterion_07_urn_formula_vs_enumeration(capsys):
     _report(capsys, "07 occupancy closed form matches full r^r enumeration, r=2..6", failures)
 
 
-def test_criterion_08_monte_carlo_within_4_sigma(capsys):
+def test_criterion_08_monte_carlo_verdict(capsys):
     failures = []
     trials = 1_000_000
     for r in range(3, 7):
-        freq = monte_carlo_urns(r, trials=trials, seed=0)
-        for comp in linear_extension(r):
-            p = float(urn_probability_exact(comp))
-            se = (p * (1 - p) / trials) ** 0.5
-            dev = abs(freq[comp] - p)
-            if dev > 4 * se + 1e-12:
-                failures.append(f"r={r} {comp}: {dev / se:.2f} standard errors")
-    _report(capsys, "08 monte carlo urns r=3..6, 1e6 trials, seed 0: all within 4 sigma", failures)
+        verdict = mc_verdict(monte_carlo_urns(r, trials=trials, seed=0), trials, r)
+        if not verdict.ok:
+            failures.append(f"r={r}: n*KL {verdict.worst:.2f} above {verdict.limit:.2f}")
+    _report(capsys, "08 monte carlo urns r=3..6, 1e6 trials, seed 0: "
+            "verdict at false-alarm rate 1e-6", failures)
 
 
 def test_criterion_09_bunching_inequality(capsys):

@@ -144,7 +144,18 @@ def test_ladder_monte_carlo_flag(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "worst deviation" in out
+    assert "worst n*KL" in out and "(limit 15.61)" in out
+
+
+def test_ladder_monte_carlo_rare_shape_is_no_false_alarm(tmp_path, capsys):
+    # 8-0-...-0 comes up 4 times where 0.48 are expected (5.1 standard
+    # errors); the per-shape 4-sigma rule failed this correct sample
+    code = dispatch(["ladder", "--r", "8", "--mc-trials", "1000000",
+                     "--seed", "4103", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "empirical 0.000004 (5.10 se)" in out
+    assert "worst n*KL: 4.98 (limit 17.60)" in out
 
 
 def test_max_step_subcommand(tmp_path, capsys):

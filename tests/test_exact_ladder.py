@@ -1,8 +1,9 @@
 """Exact ladders, urn probabilities, and the uniform-value lemma."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, log, sqrt
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from turangap import (
     lagrange_polynomial,
     linear_extension,
     max_step,
+    mc_verdict,
     monte_carlo_urns,
     occupancy_count,
     pattern_of,
@@ -22,6 +24,7 @@ from turangap import (
     urn_probability_exact,
     verify_lemma,
 )
+from turangap.exact_ladder import _MC_BLOCK
 
 from oracles import brute_occupancy_counts, enumerated_occupancy_counts
 
@@ -41,6 +44,27 @@ def _plain_monte_carlo(r: int, trials: int, seed: int) -> dict:
             occ[v] += 1
         tally[tuple(sorted(occ, reverse=True))] += 1
     return {comp: tally[comp] / trials for comp in linear_extension(r)}
+
+
+def _biased_monte_carlo(r: int, trials: int, seed: int, bias: float) -> dict:
+    """Frequencies from a faulty sampler: urn 0 has probability bias / r."""
+    probs = np.array([bias] + [(r - bias) / (r - 1)] * (r - 1)) / r
+    rng = np.random.default_rng(seed)
+    tally: Counter = Counter()
+    for _ in range(trials // 100_000):
+        throws = rng.choice(r, size=(100_000, r), p=probs)
+        occ = -np.sort(-(throws[:, :, None] == np.arange(r)).sum(axis=1), axis=1)
+        tally.update(map(tuple, occ.tolist()))
+    return {comp: tally[comp] / trials for comp in linear_extension(r)}
+
+
+def _four_sigma_ok(freq: dict, trials: int) -> bool:
+    """The per-shape two-sided 4-sigma rule that mc_verdict replaced."""
+    for comp, f in freq.items():
+        p = float(urn_probability_exact(comp))
+        if abs(f - p) > 4 * sqrt(p * (1 - p) / trials) + 1e-12:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("r,s", [(2, 2), (3, 3), (4, 4), (5, 5), (3, 5), (5, 2), (6, 3), (6, 4)])
@@ -149,15 +173,32 @@ def test_monte_carlo_deterministic_and_complete():
     assert abs(sum(a.values()) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("r,trials,seed", [(3, 2000, 7), (8, 20000, 1), (17, 3000, 2)])
+@pytest.mark.parametrize(
+    "r,trials,seed",
+    [(3, 2000, 7), (8, 20000, 1), (17, 3000, 2),
+     # trial counts at the edges of the blocks monte_carlo_urns draws in
+     (3, _MC_BLOCK - 1, 0), (3, _MC_BLOCK, 0), (3, _MC_BLOCK + 1, 0),
+     (8, 2 * _MC_BLOCK + 1, 4)],
+)
 def test_monte_carlo_tally_matches_plain_oracle(r, trials, seed):
     # r = 17 is past the int64 range of a base-(r+1) key (18^17 > 2^63),
-    # where a key-and-bincount tally cannot run
+    # where a key-and-bincount tally cannot run; the oracle draws all trials
+    # in one call, so equality also pins the random stream across blocks
     freq = monte_carlo_urns(r, trials, seed)
     assert list(freq) == list(linear_extension(r))
     assert freq == _plain_monte_carlo(r, trials, seed)
     if r > 3:  # rare shapes such as (r, 0, ..., 0) go unsampled
         assert 0.0 in freq.values()
+
+
+def test_monte_carlo_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        monte_carlo_urns(8, 300_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_monte_carlo_validation():
@@ -175,12 +216,39 @@ def test_monte_carlo_single_trial():
 
 
 def test_monte_carlo_matches_exact_roughly():
-    freq = monte_carlo_urns(3, trials=200_000, seed=0)
-    for comp in linear_extension(3):
-        exact = float(urn_probability_exact(comp))
-        # 4 sigma of a binomial proportion at 2e5 trials
-        sigma = (exact * (1 - exact) / 200_000) ** 0.5
-        assert abs(freq[comp] - exact) <= 4 * sigma + 1e-12, comp
+    verdict = mc_verdict(monte_carlo_urns(3, trials=200_000, seed=0), 200_000, 3)
+    assert verdict.ok, verdict
+    assert verdict.limit == log(2 * 3 / 1e-6)
+
+
+def test_verdict_accepts_a_rare_shape_the_4_sigma_rule_rejected():
+    # 4 hits of 8-0-...-0 where 0.48 are expected read as 5.1 standard
+    # errors, yet a correct sampler gives 4 or more in about 1 run of 750
+    freq = monte_carlo_urns(8, 10**6, 4103)
+    assert freq[(8,) + (0,) * 7] * 10**6 == 4
+    assert not _four_sigma_ok(freq, 10**6)
+    verdict = mc_verdict(freq, 10**6, 8)
+    assert verdict.ok and 4.9 < verdict.worst < 5.0, verdict
+    assert verdict.limit == log(2 * 22 / 1e-6)
+    exact = {c: float(urn_probability_exact(c)) for c in freq}
+    assert mc_verdict(exact, 10**6, 8).worst < 1e-9
+
+
+def test_verdict_rejects_an_urn_biased_sampler():
+    freq = _biased_monte_carlo(6, 10**6, 0, bias=1.25)
+    verdict = mc_verdict(freq, 10**6, 6)
+    assert not verdict.ok and verdict.worst > 3 * verdict.limit, verdict
+    assert not _four_sigma_ok(freq, 10**6)
+
+
+def test_verdict_rejects_one_shifted_shape():
+    freq = monte_carlo_urns(6, 10**6, 0)
+    assert mc_verdict(freq, 10**6, 6).ok and _four_sigma_ok(freq, 10**6)
+    comp = max(freq, key=freq.get)
+    p = float(urn_probability_exact(comp))
+    freq[comp] += 7 * sqrt(p * (1 - p) / 10**6)
+    assert not mc_verdict(freq, 10**6, 6).ok
+    assert not _four_sigma_ok(freq, 10**6)
 
 
 def test_uniform_value_two_routes_agree():
