@@ -33,7 +33,7 @@ gap = verify_gap_bound(lad)
 print(f"\nstep bound 2/9: max step {gap.max_step:.9f} at index {gap.max_step_index}")
 print(f"violations: steps={gap.step_violations} monotone={gap.monotone_violations}")
 
-near = near_equality_check(lad, eps=0.01, delta=0.01)
+near = near_equality_check(lad)  # steps within 0.01 of 2/9 must start below 0.01
 print(f"near-equality rungs: {near.triggered}, violations: {near.violations}")
 print(f"every value gap within the bound: {value_axis_cover_ok(lad)}")
 

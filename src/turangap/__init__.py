@@ -1,81 +1,44 @@
 """Certified simplex maxima, density chains, and exact occupancy ladders
-for collections of r-multisets."""
+for collections of r-multisets.
+
+The package namespace holds the names the README tour and the demos use;
+everything else is imported from its submodule."""
 
 __version__ = "0.1.0"
 
 from .patterns import (
     BlowupSpec,
-    DensityRow,
-    LagrangePolynomial,
     Pattern,
-    RMultiset,
     blow_up,
     blowup_density_check,
     blowup_edge_count,
-    complete_pattern,
-    eval_uniform_exact,
     evaluate,
-    evaluate_batch,
     evaluate_exact,
     lagrange_polynomial,
-    largest_remainder_sizes,
-    load_pattern,
-    pattern_from_dict,
-    pattern_to_dict,
-    profile,
-    save_pattern,
     simple_pattern,
 )
-from .simplex import (
-    OptResult,
-    OptimizerConfig,
-    certificate,
-    certify_max_upper,
-    gradient,
-    kkt_residual,
-    maximize,
-    project_to_simplex,
-)
+from .simplex import OptimizerConfig, certificate, maximize
 from .dominance import (
-    BunchingReport,
-    Composition,
     DownSet,
     bunching_indices,
     bunching_verify,
     compositions,
     dominates,
-    down_closure,
-    downset_from_dict,
-    downset_to_dict,
-    insert_sorted,
-    is_down_closed,
     iter_down_sets,
-    linear_extension,
-    load_downset,
     muirhead_check,
-    pattern_of,
-    restrict,
-    save_downset,
 )
 from .exact_ladder import (
-    LadderEntry,
-    LemmaReport,
     ladder,
     max_step,
     mc_verdict,
     monte_carlo_urns,
     occupancy_count,
     uniform_value_exact,
-    urn_probability_exact,
     verify_lemma,
 )
 from .chain import (
     ChainConfig,
-    ChainLadder,
-    GapReport,
-    NearEqualityReport,
     build_chain_ladder,
-    edge_enumeration,
     minimal_m,
     near_equality_check,
     value_axis_cover_ok,
@@ -84,21 +47,10 @@ from .chain import (
 
 __all__ = [
     "BlowupSpec",
-    "BunchingReport",
     "ChainConfig",
-    "ChainLadder",
-    "Composition",
-    "DensityRow",
     "DownSet",
-    "GapReport",
-    "LadderEntry",
-    "LagrangePolynomial",
-    "LemmaReport",
-    "NearEqualityReport",
-    "OptResult",
     "OptimizerConfig",
     "Pattern",
-    "RMultiset",
     "blow_up",
     "blowup_density_check",
     "blowup_edge_count",
@@ -106,48 +58,23 @@ __all__ = [
     "bunching_indices",
     "bunching_verify",
     "certificate",
-    "certify_max_upper",
-    "complete_pattern",
     "compositions",
     "dominates",
-    "down_closure",
-    "downset_from_dict",
-    "downset_to_dict",
-    "edge_enumeration",
-    "eval_uniform_exact",
     "evaluate",
-    "evaluate_batch",
     "evaluate_exact",
-    "gradient",
-    "insert_sorted",
-    "is_down_closed",
     "iter_down_sets",
-    "kkt_residual",
     "ladder",
     "lagrange_polynomial",
-    "largest_remainder_sizes",
-    "linear_extension",
-    "load_downset",
-    "load_pattern",
     "max_step",
     "maximize",
-    "minimal_m",
     "mc_verdict",
+    "minimal_m",
     "monte_carlo_urns",
     "muirhead_check",
     "near_equality_check",
     "occupancy_count",
-    "pattern_from_dict",
-    "pattern_of",
-    "pattern_to_dict",
-    "profile",
-    "project_to_simplex",
-    "restrict",
-    "save_downset",
-    "save_pattern",
     "simple_pattern",
     "uniform_value_exact",
-    "urn_probability_exact",
     "value_axis_cover_ok",
     "verify_gap_bound",
     "verify_lemma",

@@ -19,6 +19,11 @@ from typing import Sequence
 from .patterns import Pattern, RMultiset
 from .simplex import OptimizerConfig, maximize
 
+_STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
+_COVER_SLACK = 2e-6  # float slack of the value-axis cover check
+_NEAR_EPS = 0.01  # steps this close to r!/r^r are audited ...
+_NEAR_DELTA = 0.01  # ... and must start from a value below this
+
 
 def minimal_m(r: int) -> int:
     """Smallest m with r! C(m, r) / m^r > 1 - r!/r^r, decided exactly."""
@@ -142,7 +147,7 @@ class GapReport:
         )
 
 
-def verify_gap_bound(lad: ChainLadder, slack: float = 1e-6) -> GapReport:
+def verify_gap_bound(lad: ChainLadder) -> GapReport:
     """Check every step against r!/r^r and the top rung against 1 - r!/r^r.
 
     The top check only applies once the ground set is at least minimal_m(r).
@@ -152,7 +157,7 @@ def verify_gap_bound(lad: ChainLadder, slack: float = 1e-6) -> GapReport:
     r = lad.config.r
     bound = factorial(r) / r**r
     steps = lad.steps
-    step_viol = tuple(i + 1 for i, s in enumerate(steps) if s > bound + slack)
+    step_viol = tuple(i + 1 for i, s in enumerate(steps) if s > bound + _STEP_SLACK)
     mono_viol = tuple(i + 1 for i, s in enumerate(steps) if s < -1e-9)
     top_checked = lad.config.m >= minimal_m(r)
     threshold = 1.0 - bound
@@ -176,14 +181,12 @@ def verify_gap_bound(lad: ChainLadder, slack: float = 1e-6) -> GapReport:
 class NearEqualityReport:
     """Audit of the rungs whose step comes close to the bound.
 
-    A step within eps of r!/r^r forces the previous rung to sit near 0:
+    A step within _NEAR_EPS of r!/r^r forces the previous rung to sit near 0:
     equality needs all r coordinates of the new edge at exactly 1/r, which
     starves every earlier edge of weight.
     """
 
     r: int
-    eps: float
-    delta: float
     triggered: tuple[int, ...]
     violations: tuple[int, ...]
 
@@ -192,31 +195,27 @@ class NearEqualityReport:
         return not self.violations
 
 
-def near_equality_check(
-    lad: ChainLadder, eps: float = 0.01, delta: float = 0.01
-) -> NearEqualityReport:
-    """Every step above r!/r^r - eps must start from a value below delta."""
+def near_equality_check(lad: ChainLadder) -> NearEqualityReport:
+    """Every step above r!/r^r - _NEAR_EPS must start below _NEAR_DELTA."""
     r = lad.config.r
     bound = factorial(r) / r**r
     triggered = []
     violations = []
     for i, s in enumerate(lad.steps, start=1):
-        if s > bound - eps:
+        if s > bound - _NEAR_EPS:
             triggered.append(i)
-            if lad.values[i - 1] >= delta:
+            if lad.values[i - 1] >= _NEAR_DELTA:
                 violations.append(i)
     return NearEqualityReport(
         r=r,
-        eps=eps,
-        delta=delta,
         triggered=tuple(triggered),
         violations=tuple(violations),
     )
 
 
-def value_axis_cover_ok(lad: ChainLadder, slack: float = 2e-6) -> bool:
-    """No sub-interval of [0, top] longer than r!/r^r + slack misses all rungs."""
+def value_axis_cover_ok(lad: ChainLadder) -> bool:
+    """No sub-interval of [0, top] longer than r!/r^r + _COVER_SLACK misses all rungs."""
     r = lad.config.r
     bound = factorial(r) / r**r
     vals = sorted(lad.values)
-    return all(b - a <= bound + slack for a, b in zip(vals[:-1], vals[1:]))
+    return all(b - a <= bound + _COVER_SLACK for a, b in zip(vals[:-1], vals[1:]))

@@ -24,7 +24,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 
 from . import __version__
 from .chain import (
@@ -45,7 +44,7 @@ from .exact_ladder import (
     max_step,
     mc_verdict,
     monte_carlo_urns,
-    urn_probability_exact,
+    occupancy_count,
     verify_lemma,
 )
 from .patterns import BlowupSpec, blow_up, blowup_edge_count, load_pattern
@@ -209,13 +208,11 @@ def _handle_ladder(args) -> Result:
     if freq is None:
         return Result(params, obj, table, summary, True)
     summary.append(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
-    for comp, f in freq.items():
-        p = float(urn_probability_exact(comp))
-        se = sqrt(p * (1 - p) / args.mc_trials)
-        dev = abs(f - p) / se if se > 0 else 0.0
-        summary.append(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
-                       f"empirical {f:.6f} ({dev:.2f} se)")
     verdict = mc_verdict(freq, args.mc_trials, args.r)
+    for comp, f in freq.items():
+        p = occupancy_count(comp, args.r) / args.r**args.r
+        summary.append(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
+                       f"empirical {f:.6f} (n*KL {verdict.scores[comp]:.2f})")
     summary.append(f"worst n*KL: {verdict.worst:.2f} (limit {verdict.limit:.2f})")
     return Result(params, obj, table, summary, verdict.ok)
 

@@ -125,12 +125,6 @@ def downset_from_dict(obj: Mapping) -> DownSet:
     return DownSet(r, s, frozenset(members))
 
 
-def save_downset(a: DownSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(downset_to_dict(a), fh, indent=2)
-        fh.write("\n")
-
-
 def load_downset(path: str) -> DownSet:
     with open(path, "r", encoding="utf-8") as fh:
         return downset_from_dict(json.load(fh))

@@ -9,10 +9,11 @@ are single occupancy probabilities.
 
 Every occupancy count comes from one closed form, `occupancy_count`,
 which multiplies a ball-assignment factor by an urn-arrangement factor and
-so needs only the partitions of r, not the ordered occupancy vectors.  The
-tests check it against independent oracles: brute-force enumeration of all
-s^r functions, a multinomial sum over ordered occupancy vectors, and the
-pattern polynomial evaluated at the uniform point.
+so needs only the partitions of r, not the ordered occupancy vectors; an
+occupancy probability is occupancy_count(c, s) / s**r.  The oracles in
+tests/oracles.py check it independently: brute-force enumeration of all s^r
+functions, a multinomial sum over ordered occupancy vectors, and the
+uniform value through the pattern polynomial's coefficient sum.
 """
 
 from __future__ import annotations
@@ -69,22 +70,11 @@ def occupancy_count(rr: Composition, s: int) -> int:
     return balls * urns
 
 
-def urn_probability_exact(rr: Composition, s: int | None = None) -> Fraction:
-    """Exact probability of sorted occupancy rr for r balls in s urns.
-
-    s defaults to r, the square case used by the ladder; shorter tuples are
-    padded with zeros.
-    """
-    r = sum(rr)
-    if s is None:
-        s = r
-    return Fraction(occupancy_count(rr, s), s**r)
-
-
 class MCVerdict(NamedTuple):
     ok: bool
     worst: float  # largest n*KL(f||p) over the shapes
     limit: float  # log(2K/alpha) for K shapes
+    scores: dict[Composition, float]  # n*KL(f||p) of each shape
 
 
 @dataclass(frozen=True)
@@ -165,17 +155,16 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
     For each of the K shapes the Chernoff-Hoeffding bound (Hoeffding 1963)
     gives P(n*KL(F||p) >= t) <= 2*exp(-t) over both tails, so a union bound
     over the shapes makes a correct sampler exceed log(2K/alpha) with
-    probability at most _MC_ALPHA.
+    probability at most _MC_ALPHA.  Each shape's n*KL score is kept.
     """
 
     def kl(f: float, p: float) -> float:  # Bernoulli relative entropy, 0 log 0 = 0
         return sum(a * log(a / b) for a, b in ((f, p), (1 - f, 1 - p)) if a > 0)
 
-    worst = max(
-        trials * kl(f, occupancy_count(c, r) / r**r) for c, f in freq.items()
-    )
+    scores = {c: trials * kl(f, occupancy_count(c, r) / r**r) for c, f in freq.items()}
+    worst = max(scores.values())
     limit = log(2 * len(freq) / _MC_ALPHA)
-    return MCVerdict(worst <= limit, worst, limit)
+    return MCVerdict(worst <= limit, worst, limit, scores)
 
 
 @dataclass(frozen=True)
@@ -189,24 +178,18 @@ class LemmaReport:
     lower_ok: bool
     upper_ok: bool
     grid_bound: float | None
-    point: tuple[float, ...]
 
     @property
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok
 
 
-def _default_resolution(m: int) -> int:
-    # denser grids in low dimension, where they are cheap and the additive
-    # Lipschitz term would otherwise drown the bound
-    return {1: 800, 2: 800, 3: 200}.get(m, 60)
+# grid resolution by urn count s: denser grids in low dimension, where they
+# are cheap and the additive Lipschitz term would otherwise drown the bound
+_GRID_RESOLUTION = {1: 800, 2: 800, 3: 200, 4: 60}
 
 
-def verify_lemma(
-    a: DownSet,
-    opt: OptimizerConfig | None = None,
-    grid_resolution: int | None = None,
-) -> LemmaReport:
+def verify_lemma(a: DownSet, opt: OptimizerConfig | None = None) -> LemmaReport:
     """Optimize the pattern of a and compare with the exact uniform value.
 
     The optimizer value must land in [u - 1e-9, u + 1e-6]; the lower side
@@ -220,7 +203,7 @@ def verify_lemma(
     upper_ok = res.value <= float(u) + 1e-6
     grid_bound = None
     if a.s <= 4:
-        grid_bound = certify_max_upper(p, grid_resolution or _default_resolution(a.s))
+        grid_bound = certify_max_upper(p, _GRID_RESOLUTION[a.s])
         upper_ok = upper_ok and grid_bound >= float(u) - 1e-9
     return LemmaReport(
         down_set=a,
@@ -230,5 +213,4 @@ def verify_lemma(
         lower_ok=lower_ok,
         upper_ok=upper_ok,
         grid_bound=grid_bound,
-        point=tuple(float(v) for v in res.point),
     )

@@ -7,11 +7,16 @@ polynomial carries one monomial per multiset with an exact rational
 coefficient r!/prod(d_i!), so every exact quantity downstream (uniform
 values, density ladders) is computed with integers and Fractions and only
 converted to float at evaluation time.
+
+Two second routes live in tests/oracles.py rather than here: the uniform
+value through the coefficient sum, and the part-intersection profile of a
+vertex set, against which blow-up edge lists are checked.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -127,21 +132,15 @@ def pattern_from_dict(obj: Mapping) -> Pattern:
     try:
         r = int(obj["r"])
         m = int(obj["m"])
-        lists = obj["multisets"]
-    except (KeyError, TypeError) as exc:
+        lists = [[operator.index(v) for v in es] for es in obj["multisets"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern object: {exc}") from exc
     for es in lists:
         if len(es) != r:
             raise ValueError(f"multiset {es} does not have length r={r}")
-        if list(es) != sorted(es):
+        if es != sorted(es):
             raise ValueError(f"multiset {es} is not sorted non-decreasing")
     return Pattern.from_element_lists(r, m, lists)
-
-
-def save_pattern(p: Pattern, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pattern_to_dict(p), fh, indent=2)
-        fh.write("\n")
 
 
 def load_pattern(path: str) -> Pattern:
@@ -252,55 +251,8 @@ def evaluate_exact(poly: LagrangePolynomial, x: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def eval_uniform_exact(poly: LagrangePolynomial, s: int) -> Fraction:
-    """Exact value at the uniform point (1/s, ..., 1/s) with s >= m parts.
-
-    Every monomial has total degree r, so the value is the coefficient sum
-    divided by s**r.
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if poly.m > s:
-        raise ValueError(f"polynomial has {poly.m} variables, more than s={s}")
-    return poly.coefficient_sum() / Fraction(s**poly.r)
-
-
 # ---------------------------------------------------------------------------
 # Blow-ups
-
-
-def profile(
-    x_set: Iterable[int],
-    partition: Sequence[int] | Mapping[int, int],
-    m: int | None = None,
-) -> RMultiset:
-    """Part-intersection multiset of a vertex set under a partition.
-
-    partition maps 1-based vertex ids to 1-based part ids, either as a
-    mapping or as a sequence indexed by vertex - 1.
-    """
-    xs = tuple(x_set)
-    if len(set(xs)) != len(xs):
-        raise ValueError("vertex set repeats a vertex")
-
-    def part_of(v: int) -> int:
-        if isinstance(partition, Mapping):
-            if v not in partition:
-                raise ValueError(f"vertex {v} outside partition")
-            return partition[v]
-        if not 1 <= v <= len(partition):
-            raise ValueError(f"vertex {v} outside partition")
-        return partition[v - 1]
-
-    parts = [part_of(v) for v in xs]
-    if m is None:
-        m = max(parts)
-    mult = [0] * m
-    for p in parts:
-        if not 1 <= p <= m:
-            raise ValueError(f"part id {p} outside [1, {m}]")
-        mult[p - 1] += 1
-    return RMultiset(m, tuple(mult))
 
 
 @dataclass(frozen=True)

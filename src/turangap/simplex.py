@@ -25,6 +25,7 @@ from .patterns import (
 )
 
 SUPPORT_EPS = 1e-14
+_TOLERANCE = 1e-12  # a start whose accepted move is shorter than this stops
 
 
 def project_to_simplex(v: Sequence[float]) -> np.ndarray:
@@ -75,7 +76,6 @@ def kkt_residual(poly: LagrangePolynomial, x: Sequence[float]) -> float:
 class OptimizerConfig:
     starts: int = 50
     max_iterations: int = 5000
-    tolerance: float = 1e-12
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -83,8 +83,6 @@ class OptimizerConfig:
             raise ValueError("starts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -139,7 +137,7 @@ def maximize(
     Every start runs projected gradient ascent with its own Armijo step size
     eta (halved down to 1e-16 on a failed step, doubled up to 1e6 after an
     accepted one).  A start stops at a projection fixed point, after a move
-    below the tolerance, or after max_iterations steps.  Its point is then
+    below _TOLERANCE, or after max_iterations steps.  Its point is then
     cleaned: coordinates below SUPPORT_EPS are zeroed and the rest
     re-projected inside that support face.
     """
@@ -182,7 +180,7 @@ def maximize(
             took = hit & (moved[pick] > 0.0)
             x[rows[took]] = y[pick][took]
             f[rows[took]] = fy[pick][took]
-            go_on[trying[took]] = moved[pick][took] >= config.tolerance
+            go_on[trying[took]] = moved[pick][took] >= _TOLERANCE
             trying = trying[~hit & (eta[rows] >= 1e-16)]
             tries *= 2
         live = live[go_on]

@@ -1,7 +1,16 @@
-"""Enumeration oracles for the occupancy closed form, shared by the tests."""
+"""Second routes kept as oracles for the library's one route per quantity.
 
+The enumerations check the occupancy closed form; the uniform value through
+the coefficient sum checks `uniform_value_exact`; the part-intersection
+profile of a vertex set checks the edge lists of `blow_up`.
+"""
+
+from fractions import Fraction
 from itertools import product
 from math import factorial
+from typing import Iterable, Mapping, Sequence
+
+from turangap.patterns import LagrangePolynomial, RMultiset
 
 
 def brute_occupancy_counts(r: int, s: int) -> dict:
@@ -36,3 +45,50 @@ def enumerated_occupancy_counts(r: int, s: int) -> dict:
 
     rec(0, r, 1, ())
     return buckets
+
+
+def eval_uniform_exact(poly: LagrangePolynomial, s: int) -> Fraction:
+    """Exact value at the uniform point (1/s, ..., 1/s) with s >= m parts.
+
+    Every monomial has total degree r, so the value is the coefficient sum
+    divided by s**r.
+    """
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if poly.m > s:
+        raise ValueError(f"polynomial has {poly.m} variables, more than s={s}")
+    return poly.coefficient_sum() / Fraction(s**poly.r)
+
+
+def profile(
+    x_set: Iterable[int],
+    partition: Sequence[int] | Mapping[int, int],
+    m: int | None = None,
+) -> RMultiset:
+    """Part-intersection multiset of a vertex set under a partition.
+
+    partition maps 1-based vertex ids to 1-based part ids, either as a
+    mapping or as a sequence indexed by vertex - 1.
+    """
+    xs = tuple(x_set)
+    if len(set(xs)) != len(xs):
+        raise ValueError("vertex set repeats a vertex")
+
+    def part_of(v: int) -> int:
+        if isinstance(partition, Mapping):
+            if v not in partition:
+                raise ValueError(f"vertex {v} outside partition")
+            return partition[v]
+        if not 1 <= v <= len(partition):
+            raise ValueError(f"vertex {v} outside partition")
+        return partition[v - 1]
+
+    parts = [part_of(v) for v in xs]
+    if m is None:
+        m = max(parts)
+    mult = [0] * m
+    for p in parts:
+        if not 1 <= p <= m:
+            raise ValueError(f"part id {p} outside [1, {m}]")
+        mult[p - 1] += 1
+    return RMultiset(m, tuple(mult))

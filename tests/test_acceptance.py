@@ -17,31 +17,29 @@ from turangap import (
     ChainConfig,
     OptimizerConfig,
     Pattern,
-    RMultiset,
     BlowupSpec,
     blow_up,
     build_chain_ladder,
     bunching_indices,
     bunching_verify,
-    complete_pattern,
     evaluate,
-    gradient,
     iter_down_sets,
     ladder,
     lagrange_polynomial,
-    linear_extension,
     maximize,
     minimal_m,
     mc_verdict,
     monte_carlo_urns,
     near_equality_check,
     occupancy_count,
-    restrict,
     simple_pattern,
     value_axis_cover_ok,
     verify_gap_bound,
     verify_lemma,
 )
+from turangap.dominance import linear_extension, restrict
+from turangap.patterns import RMultiset, complete_pattern
+from turangap.simplex import gradient
 
 from oracles import enumerated_occupancy_counts
 

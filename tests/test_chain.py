@@ -10,12 +10,12 @@ from turangap import (
     ChainConfig,
     OptimizerConfig,
     build_chain_ladder,
-    edge_enumeration,
     minimal_m,
     near_equality_check,
     value_axis_cover_ok,
     verify_gap_bound,
 )
+from turangap.chain import ChainLadder, edge_enumeration
 
 
 def test_minimal_m_r3_is_13():
@@ -125,8 +125,36 @@ def test_gap_report_fields():
 
 def test_near_equality_flags_only_small_predecessors():
     cfg = ChainConfig(3, 6, opt=OptimizerConfig(starts=24, seed=0))
-    near = near_equality_check(build_chain_ladder(cfg), eps=0.01, delta=0.01)
-    # a step within eps of the bound forces the previous value below delta
+    near = near_equality_check(build_chain_ladder(cfg))
+    # a step within 0.01 of the bound forces the previous value below 0.01
     assert near.triggered != ()
     assert near.violations == ()
     assert near.ok
+
+
+def _fabricated_ladder(*values: float) -> ChainLadder:
+    """An r=3, m=4 ladder with the given rung values, no optimizer run."""
+    edges = edge_enumeration(4, 3)[: len(values) - 1]
+    return ChainLadder(ChainConfig(3, 4), edges, values, ((0.25,) * 4,) * len(values),
+                       (0.0,) * len(values))
+
+
+def test_chain_checks_fail_beyond_their_float_slack():
+    # steps are checked against 2/9 with 1e-6 slack, value gaps with 2e-6
+    within = _fabricated_ladder(0.0, 2 / 9 + 0.5e-6)
+    assert verify_gap_bound(within).ok and value_axis_cover_ok(within)
+    step_over = _fabricated_ladder(0.0, 2 / 9 + 1.5e-6)
+    assert verify_gap_bound(step_over).step_violations == (1,)
+    assert not verify_gap_bound(step_over).ok and value_axis_cover_ok(step_over)
+    gap_over = _fabricated_ladder(0.0, 2 / 9 + 3e-6)
+    assert not value_axis_cover_ok(gap_over)
+    falling = _fabricated_ladder(0.0, 0.1, 0.05)
+    assert verify_gap_bound(falling).monotone_violations == (2,)
+
+
+def test_near_equality_fails_on_a_large_predecessor():
+    # a step within 0.01 of 2/9 must start from a value below 0.01
+    near = near_equality_check(_fabricated_ladder(0.0, 0.009, 0.009 + 2 / 9 - 0.005))
+    assert near.triggered == (2,) and near.ok
+    near = near_equality_check(_fabricated_ladder(0.0, 0.02, 0.02 + 2 / 9 - 0.005))
+    assert near.triggered == (2,) and near.violations == (2,) and not near.ok

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from turangap import DownSet, downset_to_dict, pattern_to_dict, simple_pattern
+from turangap import DownSet, simple_pattern
 from turangap.cli import dispatch
+from turangap.dominance import downset_to_dict
+from turangap.patterns import pattern_to_dict
 
 WORKED = {"r": 3, "m": 3, "multisets": [[1, 1, 2], [1, 2, 3]]}
 
@@ -149,12 +151,14 @@ def test_ladder_monte_carlo_flag(tmp_path, capsys):
 
 def test_ladder_monte_carlo_rare_shape_is_no_false_alarm(tmp_path, capsys):
     # 8-0-...-0 comes up 4 times where 0.48 are expected (5.1 standard
-    # errors); the per-shape 4-sigma rule failed this correct sample
+    # errors); the per-shape 4-sigma rule failed this correct sample, and
+    # each shape's line now prints the n*KL score the verdict judges
     code = dispatch(["ladder", "--r", "8", "--mc-trials", "1000000",
                      "--seed", "4103", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "empirical 0.000004 (5.10 se)" in out
+    assert f"{'8-0-0-0-0-0-0-0':<24} exact 0.000000 empirical 0.000004 (n*KL 4.98)" in out
+    assert " se)" not in out
     assert "worst n*KL: 4.98 (limit 17.60)" in out
 
 
@@ -302,6 +306,19 @@ def test_malformed_pattern_file_is_usage_error(tmp_path, capsys):
         ["lagrangian", "--pattern", str(bad), "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command,extra", [("lagrangian", []),
+                                           ("blow-up", ["--sizes", "1,1,1"])])
+@pytest.mark.parametrize("multisets", [5, [[1, 1, "a"]], [7], [[1.5, 2, 3]]], ids=repr)
+def test_malformed_pattern_object_is_usage_error(tmp_path, capsys, command, extra, multisets):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"r": 3, "m": 3, "multisets": multisets}))
+    out = tmp_path / "out"
+    code = dispatch([command, "--pattern", str(bad), *extra, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"turangap {command}: malformed pattern object")
+    assert not out.exists()
 
 
 def test_pattern_roundtrip_through_cli(tmp_path):

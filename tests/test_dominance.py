@@ -12,15 +12,17 @@ from turangap import (
     bunching_verify,
     compositions,
     dominates,
+    iter_down_sets,
+    lagrange_polynomial,
+    muirhead_check,
+)
+from turangap.dominance import (
     down_closure,
     downset_from_dict,
     downset_to_dict,
     insert_sorted,
     is_down_closed,
-    iter_down_sets,
-    lagrange_polynomial,
     linear_extension,
-    muirhead_check,
     pattern_of,
     restrict,
 )

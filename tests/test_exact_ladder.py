@@ -10,23 +10,19 @@ import pytest
 
 from turangap import (
     DownSet,
-    LadderEntry,
-    eval_uniform_exact,
     ladder,
     lagrange_polynomial,
-    linear_extension,
     max_step,
     mc_verdict,
     monte_carlo_urns,
     occupancy_count,
-    pattern_of,
     uniform_value_exact,
-    urn_probability_exact,
     verify_lemma,
 )
-from turangap.exact_ladder import _MC_BLOCK
+from turangap.dominance import linear_extension, pattern_of
+from turangap.exact_ladder import _MC_BLOCK, LadderEntry
 
-from oracles import brute_occupancy_counts, enumerated_occupancy_counts
+from oracles import brute_occupancy_counts, enumerated_occupancy_counts, eval_uniform_exact
 
 
 def uniform_value_via_polynomial(a: DownSet) -> Fraction:
@@ -58,10 +54,16 @@ def _biased_monte_carlo(r: int, trials: int, seed: int, bias: float) -> dict:
     return {comp: tally[comp] / trials for comp in linear_extension(r)}
 
 
+def _square_probability(comp) -> float:
+    """Occupancy probability of a shape of r balls in r urns, as a float."""
+    r = len(comp)
+    return occupancy_count(comp, r) / r**r
+
+
 def _four_sigma_ok(freq: dict, trials: int) -> bool:
     """The per-shape two-sided 4-sigma rule that mc_verdict replaced."""
     for comp, f in freq.items():
-        p = float(urn_probability_exact(comp))
+        p = _square_probability(comp)
         if abs(f - p) > 4 * sqrt(p * (1 - p) / trials) + 1e-12:
             return False
     return True
@@ -87,12 +89,19 @@ def test_occupancy_count_validation():
 
 
 def test_urn_probability_examples():
-    assert urn_probability_exact((1, 1, 1)) == Fraction(2, 9)
-    assert urn_probability_exact((2, 1, 0)) == Fraction(2, 3)
-    assert urn_probability_exact((3, 0, 0)) == Fraction(1, 9)
-    assert urn_probability_exact((2, 0)) == Fraction(1, 2)
-    # general urn count: 2 balls in 3 urns landing together
-    assert urn_probability_exact((2, 0, 0), 3) == Fraction(1, 3)
+    assert Fraction(occupancy_count((1, 1, 1), 3), 3**3) == Fraction(2, 9)
+    assert Fraction(occupancy_count((2, 1, 0), 3), 3**3) == Fraction(2, 3)
+    assert Fraction(occupancy_count((3, 0, 0), 3), 3**3) == Fraction(1, 9)
+    assert Fraction(occupancy_count((2, 0), 2), 2**2) == Fraction(1, 2)
+    # general urn count: 2 balls in 3 urns landing together; a shorter
+    # shape is padded with empty urns
+    assert Fraction(occupancy_count((2, 0, 0), 3), 3**2) == Fraction(1, 3)
+    assert occupancy_count((2,), 3) == occupancy_count((2, 0, 0), 3)
+    # the float the ladder's Monte Carlo lines print is the exact one rounded
+    for r in range(1, 16):
+        for comp in linear_extension(r):
+            exact = Fraction(occupancy_count(comp, r), r**r)
+            assert _square_probability(comp) == float(exact), comp
 
 
 @pytest.mark.parametrize("r", range(2, 11))
@@ -229,8 +238,11 @@ def test_verdict_accepts_a_rare_shape_the_4_sigma_rule_rejected():
     assert not _four_sigma_ok(freq, 10**6)
     verdict = mc_verdict(freq, 10**6, 8)
     assert verdict.ok and 4.9 < verdict.worst < 5.0, verdict
+    # the rare shape is the worst one, and worst is the largest kept score
+    assert set(verdict.scores) == set(freq)
+    assert verdict.scores[(8,) + (0,) * 7] == verdict.worst == max(verdict.scores.values())
     assert verdict.limit == log(2 * 22 / 1e-6)
-    exact = {c: float(urn_probability_exact(c)) for c in freq}
+    exact = {c: _square_probability(c) for c in freq}
     assert mc_verdict(exact, 10**6, 8).worst < 1e-9
 
 
@@ -245,7 +257,7 @@ def test_verdict_rejects_one_shifted_shape():
     freq = monte_carlo_urns(6, 10**6, 0)
     assert mc_verdict(freq, 10**6, 6).ok and _four_sigma_ok(freq, 10**6)
     comp = max(freq, key=freq.get)
-    p = float(urn_probability_exact(comp))
+    p = _square_probability(comp)
     freq[comp] += 7 * sqrt(p * (1 - p) / 10**6)
     assert not mc_verdict(freq, 10**6, 6).ok
     assert not _four_sigma_ok(freq, 10**6)

@@ -10,21 +10,23 @@ import pytest
 from turangap import (
     BlowupSpec,
     Pattern,
-    RMultiset,
     blow_up,
     blowup_density_check,
     blowup_edge_count,
-    complete_pattern,
-    eval_uniform_exact,
     evaluate,
     evaluate_exact,
     lagrange_polynomial,
+    simple_pattern,
+)
+from turangap.patterns import (
+    RMultiset,
+    complete_pattern,
     largest_remainder_sizes,
     pattern_from_dict,
     pattern_to_dict,
-    profile,
-    simple_pattern,
 )
+
+from oracles import eval_uniform_exact, profile
 
 WORKED = Pattern.from_element_lists(3, 3, [[1, 1, 2], [1, 2, 3]])
 

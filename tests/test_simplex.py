@@ -15,22 +15,24 @@ from turangap import (
     DownSet,
     OptimizerConfig,
     Pattern,
-    RMultiset,
     certificate,
-    certify_max_upper,
-    complete_pattern,
     evaluate,
-    evaluate_batch,
-    gradient,
-    kkt_residual,
     lagrange_polynomial,
     maximize,
-    pattern_of,
-    project_to_simplex,
     simple_pattern,
 )
 import turangap.simplex as sx
-from turangap.simplex import SUPPORT_EPS, _start_points
+from turangap.dominance import pattern_of
+from turangap.patterns import RMultiset, complete_pattern, evaluate_batch
+from turangap.simplex import (
+    _TOLERANCE,
+    SUPPORT_EPS,
+    _start_points,
+    certify_max_upper,
+    gradient,
+    kkt_residual,
+    project_to_simplex,
+)
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
 
@@ -195,8 +197,6 @@ def test_certify_max_upper_warns_when_coarse():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
 
@@ -380,7 +380,7 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
         res = maximize(p, config, extra_starts=extra)
         poly = lagrange_polynomial(p)
         starts, kinds = _start_points(p.m, config, extra)
-        runs = [_ascend(poly, x0, config.max_iterations, config.tolerance) for x0 in starts]
+        runs = [_ascend(poly, x0, config.max_iterations, _TOLERANCE) for x0 in starts]
         assert res.iterations == tuple(n for _, _, n in runs)
         values = [f for _, f, _ in runs]
         # ties go to the lowest start index
@@ -401,7 +401,7 @@ def test_maximize_matches_best_oracle_value():
         res = maximize(p, config, extra_starts=extra)
         poly = lagrange_polynomial(p)
         starts, _ = _start_points(p.m, config, extra)
-        best = max(_ascend(poly, x0, config.max_iterations, config.tolerance)[1]
+        best = max(_ascend(poly, x0, config.max_iterations, _TOLERANCE)[1]
                    for x0 in starts)
         assert abs(res.value - best) <= 1e-12
         assert res.value == pytest.approx(evaluate(poly, res.point), abs=1e-15)
