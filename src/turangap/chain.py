@@ -5,19 +5,27 @@ r!/r^r (the product of r simplex coordinates never exceeds r^-r), while
 the complete pattern on enough vertices pushes the top of the ladder above
 1 - r!/r^r.  Certified ladders over such chains therefore sweep value axes
 with no gap longer than r!/r^r between consecutive rungs.
+
+Many rungs have a closed form, decided from the rung's own edge set.  On t
+covered vertices, K_t has lambda = r! C(t, r) / t^r at its uniform point.
+A rung that contains K_{t-1} and leaves some vertex pair in no edge has
+lambda(K_{t-1}) exactly: one weight of an uncovered pair can be set to zero
+(Frankl and Rodl, Combinatorica 1984), leaving t - 1 vertices.  Along colex
+most rungs are of these two kinds; only the others run the optimizer.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
-from .patterns import Pattern, RMultiset
-from .simplex import OptimizerConfig, maximize
+from .patterns import Pattern, RMultiset, lagrange_polynomial
+from .simplex import OptimizerConfig, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
 _COVER_SLACK = 2e-6  # float slack of the value-axis cover check
@@ -68,13 +76,22 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainLadder:
-    """Certified values along one chain, index i holding the i-edge pattern."""
+    """Certified values along one chain, index i holding the i-edge pattern.
+
+    ``exact_values[i]`` is the closed-form value, 0 at rung 0, None where
+    the optimizer ran."""
 
     config: ChainConfig
     edges: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
+    exact_values: tuple[Fraction | None, ...]
     points: tuple[tuple[float, ...], ...]
     kkt_residuals: tuple[float, ...]
+
+    @property
+    def closed_form_rungs(self) -> tuple[int, ...]:
+        """Indices of the rungs with edges whose value came from a closed form."""
+        return tuple(i for i, v in enumerate(self.exact_values) if i and v is not None)
 
     @property
     def steps(self) -> tuple[float, ...]:
@@ -92,31 +109,58 @@ class ChainLadder:
         return 1 + steps.index(max(steps))
 
 
-def build_chain_ladder(config: ChainConfig) -> ChainLadder:
-    """Maximize every prefix pattern, warm-starting from the previous point.
+def _closed_form(
+    r: int, m: int, edges: Sequence[tuple[int, ...]]
+) -> tuple[Fraction, tuple[float, ...]] | None:
+    """(lambda, uniform maximizer) of a rung that is K_t on its t vertices V,
+    or that holds K_{t-1} on V - v and leaves a pair of V in no edge; None
+    for every other rung."""
+    degree = Counter(v for e in edges for v in e)
+    t = len(degree)
+    support = set(degree) if len(edges) == comb(t, r) else None
+    if support is None and len({p for e in edges for p in combinations(e, 2)}) < comb(t, 2):
+        # the edges avoiding v are all r-sets of V - v iff they number C(t-1, r)
+        support = next((set(degree) - {v} for v in sorted(degree)
+                        if len(edges) - degree[v] == comb(t - 1, r)), None)
+    if support is None:
+        return None
+    s = len(support)
+    point = tuple(1.0 / s if i in support else 0.0 for i in range(1, m + 1))
+    return Fraction(factorial(r) * comb(s, r), s**r), point
 
-    The previous optimum is appended to the start list, which forces the
-    certified values to be monotone up to float rounding.
+
+def build_chain_ladder(config: ChainConfig) -> ChainLadder:
+    """Value of every prefix pattern: a closed form where one applies, else
+    ``maximize`` warm-started from the previous rung's point, which keeps the
+    values monotone up to float rounding.  Rung 1 (one r-set, so K_r) is
+    always closed-form.  Every KKT residual is computed at the rung's point.
     """
-    edges = edge_enumeration(config.m, config.r, config.edge_order, config.opt.seed)
+    r, m = config.r, config.m
+    edges = edge_enumeration(m, r, config.edge_order, config.opt.seed)
     multisets: list[RMultiset] = []
     values = [0.0]
-    points = [tuple([1.0 / config.m] * config.m)]
+    exact: list[Fraction | None] = [Fraction(0)]
+    points = [tuple([1.0 / m] * m)]
     kkts = [0.0]
-    prev_point: Sequence[float] | None = None
-    for edge in edges:
-        multisets.append(RMultiset.from_elements(edge, config.m))
-        pattern = Pattern(config.r, config.m, tuple(multisets))
-        extra = [prev_point] if prev_point is not None else []
-        res = maximize(pattern, config.opt, extra_starts=extra)
-        values.append(res.value)
-        points.append(tuple(float(v) for v in res.point))
-        kkts.append(res.kkt_residual)
-        prev_point = res.point
+    for k, edge in enumerate(edges, start=1):
+        multisets.append(RMultiset.from_elements(edge, m))
+        pattern = Pattern(r, m, tuple(multisets))
+        closed = _closed_form(r, m, edges[:k])
+        if closed is None:
+            res = maximize(pattern, config.opt, extra_starts=[points[-1]])
+            value, point, kkt = res.value, tuple(res.point.tolist()), res.kkt_residual
+        else:
+            value, point = float(closed[0]), closed[1]
+            kkt = kkt_residual(lagrange_polynomial(pattern), point)
+        values.append(value)
+        exact.append(None if closed is None else closed[0])
+        points.append(point)
+        kkts.append(kkt)
     return ChainLadder(
         config=config,
         edges=edges,
         values=tuple(values),
+        exact_values=tuple(exact),
         points=tuple(points),
         kkt_residuals=tuple(kkts),
     )

@@ -158,6 +158,7 @@ def _handle_chain(args) -> Result:
         "values": [float(v) for v in lad.values],
         "steps": [float(s) for s in steps],
         "kkt_residuals": [float(k) for k in lad.kkt_residuals],
+        "closed_form_rungs": list(lad.closed_form_rungs),
         "max_step": lad.max_step,
         "max_step_index": lad.max_step_index,
         "gap_ok": gap.ok,
@@ -165,6 +166,7 @@ def _handle_chain(args) -> Result:
     }
     summary = [
         f"chain r={r} m={m} order={args.order}: {len(lad.edges)} edges",
+        f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}",
         f"top value:  {lad.values[-1]:.9f} (threshold {gap.top_threshold:.9f}, "
         f"checked: {gap.top_checked})",
         f"max step:   {lad.max_step:.9f} at index {lad.max_step_index} "

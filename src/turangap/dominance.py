@@ -13,6 +13,7 @@ everything stays in exact integer and Fraction arithmetic.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -117,10 +118,10 @@ def downset_to_dict(a: DownSet) -> dict:
 
 def downset_from_dict(obj: Mapping) -> DownSet:
     try:
-        r = int(obj["r"])
-        s = int(obj["s"])
-        members = [tuple(int(v) for v in c) for c in obj["members"]]
-    except (KeyError, TypeError) as exc:
+        r = operator.index(obj["r"])
+        s = operator.index(obj["s"])
+        members = [tuple(operator.index(v) for v in c) for c in obj["members"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed down-set object: {exc}") from exc
     return DownSet(r, s, frozenset(members))
 
@@ -193,25 +194,6 @@ def _ordered_tuples(r: int, s: int) -> Iterator[tuple[int, ...]]:
     for first in range(r + 1):
         for rest in _ordered_tuples(r - first, s - 1):
             yield (first,) + rest
-
-
-def insert_sorted(y: Composition, j: int) -> Composition:
-    """Insert j into a sorted composition, keeping it non-increasing."""
-    if j < 0:
-        raise ValueError(f"inserted part must be >= 0, got {j}")
-    return tuple(sorted(y + (j,), reverse=True))
-
-
-def restrict(a: DownSet, j: int) -> DownSet:
-    """Compositions of r - j into s - 1 parts that land in a once j is added."""
-    if a.s < 2:
-        raise ValueError("restriction needs s >= 2")
-    if not 0 <= j <= a.r:
-        raise ValueError(f"j must lie in [0, {a.r}], got {j}")
-    members = frozenset(
-        y for y in compositions(a.r - j, a.s - 1) if insert_sorted(y, j) in a.members
-    )
-    return DownSet(a.r - j, a.s - 1, members)
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,8 @@ def pattern_to_dict(p: Pattern) -> dict:
 
 def pattern_from_dict(obj: Mapping) -> Pattern:
     try:
-        r = int(obj["r"])
-        m = int(obj["m"])
+        r = operator.index(obj["r"])
+        m = operator.index(obj["m"])
         lists = [[operator.index(v) for v in es] for es in obj["multisets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern object: {exc}") from exc

@@ -2,7 +2,9 @@
 
 The enumerations check the occupancy closed form; the uniform value through
 the coefficient sum checks `uniform_value_exact`; the part-intersection
-profile of a vertex set checks the edge lists of `blow_up`.
+profile of a vertex set checks the edge lists of `blow_up`.  Restriction of
+a down-set, the variable deletion behind the uniform-point lemma, is used
+only by tests that check down-closure survives it.
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from itertools import product
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
+from turangap.dominance import Composition, DownSet, compositions
 from turangap.patterns import LagrangePolynomial, RMultiset
 
 
@@ -92,3 +95,22 @@ def profile(
             raise ValueError(f"part id {p} outside [1, {m}]")
         mult[p - 1] += 1
     return RMultiset(m, tuple(mult))
+
+
+def insert_sorted(y: Composition, j: int) -> Composition:
+    """Insert j into a sorted composition, keeping it non-increasing."""
+    if j < 0:
+        raise ValueError(f"inserted part must be >= 0, got {j}")
+    return tuple(sorted(y + (j,), reverse=True))
+
+
+def restrict(a: DownSet, j: int) -> DownSet:
+    """Compositions of r - j into s - 1 parts that land in a once j is added."""
+    if a.s < 2:
+        raise ValueError("restriction needs s >= 2")
+    if not 0 <= j <= a.r:
+        raise ValueError(f"j must lie in [0, {a.r}], got {j}")
+    members = frozenset(
+        y for y in compositions(a.r - j, a.s - 1) if insert_sorted(y, j) in a.members
+    )
+    return DownSet(a.r - j, a.s - 1, members)

@@ -37,11 +37,11 @@ from turangap import (
     verify_gap_bound,
     verify_lemma,
 )
-from turangap.dominance import linear_extension, restrict
+from turangap.dominance import linear_extension
 from turangap.patterns import RMultiset, complete_pattern
 from turangap.simplex import gradient
 
-from oracles import enumerated_occupancy_counts
+from oracles import enumerated_occupancy_counts, restrict
 
 WORKED = Pattern.from_element_lists(3, 3, [(1, 1, 2), (1, 2, 3)])
 

@@ -16,6 +16,8 @@ from turangap import (
     verify_gap_bound,
 )
 from turangap.chain import ChainLadder, edge_enumeration
+from turangap.patterns import simple_pattern
+from turangap.simplex import maximize
 
 
 def test_minimal_m_r3_is_13():
@@ -135,8 +137,8 @@ def test_near_equality_flags_only_small_predecessors():
 def _fabricated_ladder(*values: float) -> ChainLadder:
     """An r=3, m=4 ladder with the given rung values, no optimizer run."""
     edges = edge_enumeration(4, 3)[: len(values) - 1]
-    return ChainLadder(ChainConfig(3, 4), edges, values, ((0.25,) * 4,) * len(values),
-                       (0.0,) * len(values))
+    return ChainLadder(ChainConfig(3, 4), edges, values, (None,) * len(values),
+                       ((0.25,) * 4,) * len(values), (0.0,) * len(values))
 
 
 def test_chain_checks_fail_beyond_their_float_slack():
@@ -158,3 +160,47 @@ def test_near_equality_fails_on_a_large_predecessor():
     assert near.triggered == (2,) and near.ok
     near = near_equality_check(_fabricated_ladder(0.0, 0.02, 0.02 + 2 / 9 - 0.005))
     assert near.triggered == (2,) and near.violations == (2,) and not near.ok
+
+
+def _qualifies(r: int, edges) -> bool:
+    """The closed-form rule by brute force: K_t on the covered vertices V, or
+    every r-set of V - v for some v with a pair of V in no edge."""
+    have = set(edges)
+    vertices = sorted({v for e in edges for v in e})
+    if have == set(combinations(vertices, r)):
+        return True
+    if {p for e in edges for p in combinations(e, 2)} == set(combinations(vertices, 2)):
+        return False
+    return any(set(combinations([u for u in vertices if u != v], r)) <= have
+               for v in vertices)
+
+
+@pytest.mark.parametrize("r,m,order,closed", [(3, 7, "colex", 25), (4, 6, "colex", 8),
+                                               (5, 8, "colex", 25), (3, 7, "lex", 3)])
+def test_closed_form_rungs_qualify_by_structure_and_match_the_optimizer(r, m, order, closed):
+    lad = build_chain_ladder(ChainConfig(r, m, edge_order=order))
+    want = tuple(i for i in range(1, len(lad.values)) if _qualifies(r, lad.edges[:i]))
+    assert lad.closed_form_rungs == want
+    assert len(want) == closed
+    assert lad.exact_values[0] == 0
+    for i in want:
+        # lambda(K_s) on the rung's support, equal to the optimizer oracle
+        s = sum(x > 0 for x in lad.points[i])
+        assert lad.exact_values[i] == Fraction(factorial(r) * comb(s, r), s**r)
+        assert lad.values[i] == float(lad.exact_values[i])
+        oracle = maximize(simple_pattern(r, m, lad.edges[:i]))
+        assert abs(oracle.value - lad.values[i]) <= 1e-12, i
+        assert lad.kkt_residuals[i] < 1e-12, i
+    assert lad.exact_values[-1] == Fraction(factorial(r) * comb(m, r), m**r)
+
+
+def test_clique_with_every_pair_covered_runs_the_optimizer():
+    # colex r=3 m=5, rung 8: K_4 plus 125, 135, 235, 145 covers every pair of [5]
+    lad = build_chain_ladder(ChainConfig(3, 5, opt=OptimizerConfig(starts=12, seed=0)))
+    edges = lad.edges[:8]
+    assert set(combinations(range(1, 5), 3)) <= set(edges)
+    assert not _qualifies(3, edges)
+    assert lad.exact_values[8] is None
+    # the plateau value 3/8 would be wrong here
+    assert lad.values[8] > 3 / 8 + 0.01
+    assert lad.exact_values[7] == Fraction(3, 8)

@@ -321,6 +321,28 @@ def test_malformed_pattern_object_is_usage_error(tmp_path, capsys, command, extr
     assert not out.exists()
 
 
+def test_fractional_pattern_size_is_usage_error(tmp_path, capsys):
+    # "r": 3.9 must not be truncated to 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**WORKED, "r": 3.9}))
+    out = tmp_path / "out"
+    assert dispatch(["lagrangian", "--pattern", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("turangap lagrangian: malformed pattern object")
+    assert not out.exists()
+
+
+def test_fractional_downset_member_is_usage_error(tmp_path, capsys):
+    # a member [2.7, 1] must not be truncated to (2, 1)
+    bad = tmp_path / "down.json"
+    bad.write_text(json.dumps({"r": 3, "s": 2, "members": [[2.7, 1]]}))
+    out = tmp_path / "out"
+    code = dispatch(["lemma-check", "--r", "3", "--s", "2", "--downset", str(bad),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("turangap lemma-check: malformed down-set object")
+    assert not out.exists()
+
+
 def test_pattern_roundtrip_through_cli(tmp_path):
     # a pattern serialized by the library is accepted by the CLI
     path = tmp_path / "single.json"

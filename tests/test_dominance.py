@@ -20,12 +20,12 @@ from turangap.dominance import (
     down_closure,
     downset_from_dict,
     downset_to_dict,
-    insert_sorted,
     is_down_closed,
     linear_extension,
     pattern_of,
-    restrict,
 )
+
+from oracles import insert_sorted, restrict
 
 
 def test_compositions_reverse_lex():
