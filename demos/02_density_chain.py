@@ -8,6 +8,7 @@ pattern K_t, or K_{t-1} with a vertex pair left uncovered, and by the
 optimizer elsewhere.  Consecutive maxima never differ by more than
 3!/3^3 = 2/9, the values climb monotonically, and whenever a step comes
 close to the bound the value it started from was already near zero.
+One audit, ``verify_gap_bound``, checks all three.
 """
 
 from math import comb
@@ -17,8 +18,6 @@ from turangap import (
     OptimizerConfig,
     build_chain_ladder,
     minimal_m,
-    near_equality_check,
-    value_axis_cover_ok,
     verify_gap_bound,
 )
 
@@ -33,14 +32,14 @@ for i, v in enumerate(lad.values):
     print(f" {i:3d}  {v:.9f}  {steps[i]:.9f}  {lad.kkt_residuals[i]:.1e}")
 
 gap = verify_gap_bound(lad)
-print(f"\nstep bound 2/9: max step {gap.max_step:.9f} at index {gap.max_step_index}")
+print(f"\nstep bound 2/9: max step {lad.max_step:.9f} at index {lad.max_step_index}")
 print(f"violations: steps={gap.step_violations} monotone={gap.monotone_violations}")
-
-near = near_equality_check(lad)  # steps within 0.01 of 2/9 must start below 0.01
-print(f"near-equality rungs: {near.triggered}, violations: {near.violations}")
-print(f"every value gap within the bound: {value_axis_cover_ok(lad)}")
+# steps within 0.01 of 2/9 must start below 0.01
+print(f"near-equality rungs: {gap.near_triggered}, violations: {gap.near_violations}")
+# rung 0 is the least value, so bounded steps leave no longer gap on the value axis
+print(f"every check passed: {gap.ok}")
 
 # 6 vertices cannot push the density past 1 - 2/9; that takes m >= 13
-print(f"\ntop value {lad.values[-1]:.6f} vs threshold {1 - 2 / 9:.6f}")
+print(f"\ntop value {lad.exact_values[-1]} vs threshold {1 - gap.bound:.6f}")
 print(f"smallest m whose complete density crosses it: {minimal_m(3)}")
 print("rerun with ChainConfig(3, 13, ...) to watch the crossing (a few seconds)")

@@ -18,7 +18,6 @@ from turangap import (
     compositions,
     dominates,
     iter_down_sets,
-    muirhead_check,
     uniform_value_exact,
     verify_lemma,
 )
@@ -41,9 +40,6 @@ print(f"  exact uniform value {rep.uniform_value} = {float(rep.uniform_value):.9
 print(f"  optimizer found     {rep.opt_value:.9f} (kkt {rep.kkt_residual:.1e})")
 print(f"  grid upper bound    {rep.grid_bound:.6f}")
 print(f"  passed: {rep.passed}")
-
-# a plain two-variable symmetric-mean comparison
-print(f"\nx^2 y^2 bunches x^4: {muirhead_check(1.5, 0.5, 2, 0, 2)}")
 
 print("\ngrouped averaging coefficients, r=4:")
 for h2 in bunching_indices(4):

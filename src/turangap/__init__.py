@@ -25,7 +25,6 @@ from .dominance import (
     compositions,
     dominates,
     iter_down_sets,
-    muirhead_check,
 )
 from .exact_ladder import (
     ladder,
@@ -40,8 +39,6 @@ from .chain import (
     ChainConfig,
     build_chain_ladder,
     minimal_m,
-    near_equality_check,
-    value_axis_cover_ok,
     verify_gap_bound,
 )
 
@@ -70,12 +67,9 @@ __all__ = [
     "mc_verdict",
     "minimal_m",
     "monte_carlo_urns",
-    "muirhead_check",
-    "near_equality_check",
     "occupancy_count",
     "simple_pattern",
     "uniform_value_exact",
-    "value_axis_cover_ok",
     "verify_gap_bound",
     "verify_lemma",
 ]

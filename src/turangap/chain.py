@@ -2,9 +2,10 @@
 
 Adding a single r-set to a pattern raises the simplex maximum by at most
 r!/r^r (the product of r simplex coordinates never exceeds r^-r), while
-the complete pattern on enough vertices pushes the top of the ladder above
-1 - r!/r^r.  Certified ladders over such chains therefore sweep value axes
-with no gap longer than r!/r^r between consecutive rungs.
+the top rung, always the complete pattern K_m, lies above 1 - r!/r^r
+exactly when m >= minimal_m(r).  ``verify_gap_bound`` is the one audit of
+a ladder's steps; a ladder that passes it sweeps the value axis with no gap
+longer than r!/r^r.
 
 Many rungs have a closed form, decided from the rung's own edge set.  On t
 covered vertices, K_t has lambda = r! C(t, r) / t^r at its uniform point.
@@ -28,7 +29,6 @@ from .patterns import Pattern, RMultiset, lagrange_polynomial
 from .simplex import OptimizerConfig, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
-_COVER_SLACK = 2e-6  # float slack of the value-axis cover check
 _NEAR_EPS = 0.01  # steps this close to r!/r^r are audited ...
 _NEAR_DELTA = 0.01  # ... and must start from a value below this
 
@@ -168,98 +168,56 @@ def build_chain_ladder(config: ChainConfig) -> ChainLadder:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Step-bound audit of a chain ladder."""
+    """Step audit of a chain ladder: step i runs from rung i - 1 to rung i."""
 
     r: int
     m: int
     bound: float  # r!/r^r
-    max_step: float
-    max_step_index: int
     step_violations: tuple[int, ...]
     monotone_violations: tuple[int, ...]
-    top_value: float
-    top_threshold: float
-    top_checked: bool  # only meaningful once m >= minimal_m(r)
-    top_ok: bool
+    near_triggered: tuple[int, ...]
+    near_violations: tuple[int, ...]
+
+    @property
+    def steps_ok(self) -> bool:
+        return not self.step_violations and not self.monotone_violations
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.step_violations
-            and not self.monotone_violations
-            and (self.top_ok or not self.top_checked)
-        )
+        return self.steps_ok and not self.near_violations
 
 
 def verify_gap_bound(lad: ChainLadder) -> GapReport:
-    """Check every step against r!/r^r and the top rung against 1 - r!/r^r.
+    """Check every step against r!/r^r, monotonicity and near equality.
 
-    The top check only applies once the ground set is at least minimal_m(r).
-    Monotonicity is checked with 1e-9 slack; violating indices are reported
-    rather than raised.
+    A step above r!/r^r + _STEP_SLACK or below -1e-9 is reported, not
+    raised.  A step above r!/r^r - _NEAR_EPS must start below _NEAR_DELTA:
+    equality needs all r coordinates of the new edge at exactly 1/r, which
+    starves every earlier edge of weight.
+
+    Cover corollary: rung 0 holds the least value 0, so for neighbours a < b
+    among the sorted values the first rung i reaching b has a rung i - 1 at
+    most a, and b - a is at most step i.  Once ``steps_ok`` holds, no gap on
+    the value axis exceeds r!/r^r + _STEP_SLACK.
     """
     r = lad.config.r
     bound = factorial(r) / r**r
-    steps = lad.steps
-    step_viol = tuple(i + 1 for i, s in enumerate(steps) if s > bound + _STEP_SLACK)
-    mono_viol = tuple(i + 1 for i, s in enumerate(steps) if s < -1e-9)
-    top_checked = lad.config.m >= minimal_m(r)
-    threshold = 1.0 - bound
-    top_ok = lad.values[-1] > threshold
+    step_viol, mono_viol, triggered, near_viol = [], [], [], []
+    for i, s in enumerate(lad.steps, start=1):
+        if s > bound + _STEP_SLACK:
+            step_viol.append(i)
+        if s < -1e-9:
+            mono_viol.append(i)
+        if s > bound - _NEAR_EPS:
+            triggered.append(i)
+            if lad.values[i - 1] >= _NEAR_DELTA:
+                near_viol.append(i)
     return GapReport(
         r=r,
         m=lad.config.m,
         bound=bound,
-        max_step=lad.max_step,
-        max_step_index=lad.max_step_index,
-        step_violations=step_viol,
-        monotone_violations=mono_viol,
-        top_value=lad.values[-1],
-        top_threshold=threshold,
-        top_checked=top_checked,
-        top_ok=top_ok,
+        step_violations=tuple(step_viol),
+        monotone_violations=tuple(mono_viol),
+        near_triggered=tuple(triggered),
+        near_violations=tuple(near_viol),
     )
-
-
-@dataclass(frozen=True)
-class NearEqualityReport:
-    """Audit of the rungs whose step comes close to the bound.
-
-    A step within _NEAR_EPS of r!/r^r forces the previous rung to sit near 0:
-    equality needs all r coordinates of the new edge at exactly 1/r, which
-    starves every earlier edge of weight.
-    """
-
-    r: int
-    triggered: tuple[int, ...]
-    violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def near_equality_check(lad: ChainLadder) -> NearEqualityReport:
-    """Every step above r!/r^r - _NEAR_EPS must start below _NEAR_DELTA."""
-    r = lad.config.r
-    bound = factorial(r) / r**r
-    triggered = []
-    violations = []
-    for i, s in enumerate(lad.steps, start=1):
-        if s > bound - _NEAR_EPS:
-            triggered.append(i)
-            if lad.values[i - 1] >= _NEAR_DELTA:
-                violations.append(i)
-    return NearEqualityReport(
-        r=r,
-        triggered=tuple(triggered),
-        violations=tuple(violations),
-    )
-
-
-def value_axis_cover_ok(lad: ChainLadder) -> bool:
-    """No sub-interval of [0, top] longer than r!/r^r + _COVER_SLACK misses all rungs."""
-    r = lad.config.r
-    bound = factorial(r) / r**r
-    vals = sorted(lad.values)
-    return all(b - a <= bound + _COVER_SLACK for a, b in zip(vals[:-1], vals[1:]))

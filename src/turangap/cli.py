@@ -8,8 +8,9 @@ set, so identical invocations rewrite byte-identical primary outputs; the
 manifest wall time (Monte Carlo included) is informational only.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
-reported as ``turangap <command>: <message>``.  ``chain --m`` and
-``--slow`` exclude each other.
+reported as ``turangap <command>: <message>``.  ``chain`` reports whether
+its top rung crosses 1 - r!/r^r once m >= minimal_m(r); for that m run
+``chain --m "$(turangap minimal-m --r R | head -n 1)"``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .chain import (
     ChainConfig,
     build_chain_ladder,
     minimal_m,
-    near_equality_check,
     verify_gap_bound,
 )
 from .dominance import (
@@ -132,19 +132,16 @@ def _handle_lagrangian(args) -> Result:
 
 
 def _handle_chain(args) -> Result:
-    r = args.r
-    m = minimal_m(r) if args.slow else args.m
+    r, m = args.r, args.m
     config = ChainConfig(r=r, m=m, edge_order=args.order, opt=_opt_config(args))
     lad = build_chain_ladder(config)
     gap = verify_gap_bound(lad)
-    near = near_equality_check(lad)
     params = {
         "r": r,
         "m": m,
         "order": args.order,
         "starts": args.starts,
         "max_iter": args.max_iter,
-        "slow": bool(args.slow),
     }
     steps = (0.0,) + lad.steps
     rows = [
@@ -161,22 +158,22 @@ def _handle_chain(args) -> Result:
         "closed_form_rungs": list(lad.closed_form_rungs),
         "max_step": lad.max_step,
         "max_step_index": lad.max_step_index,
-        "gap_ok": gap.ok,
-        "near_equality_ok": near.ok,
+        "gap_ok": gap.steps_ok,
+        "near_equality_ok": not gap.near_violations,
     }
     summary = [
         f"chain r={r} m={m} order={args.order}: {len(lad.edges)} edges",
         f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}",
-        f"top value:  {lad.values[-1]:.9f} (threshold {gap.top_threshold:.9f}, "
-        f"checked: {gap.top_checked})",
+        f"top value:  {float(lad.exact_values[-1]):.9f} (threshold {1 - gap.bound:.9f}, "
+        f"checked: {m >= minimal_m(r)})",
         f"max step:   {lad.max_step:.9f} at index {lad.max_step_index} "
         f"(bound {gap.bound:.9f})",
         f"step bound: {'ok' if not gap.step_violations else f'VIOLATED at {gap.step_violations}'}",
-        f"near-equality rungs {near.triggered}: "
-        f"{'ok' if near.ok else f'VIOLATED at {near.violations}'}",
+        f"near-equality rungs {gap.near_triggered}: "
+        f"{'ok' if not gap.near_violations else f'VIOLATED at {gap.near_violations}'}",
     ]
     table = (["index", "num_edges", "value", "step", "kkt_residual"], rows)
-    return Result(params, obj, table, summary, gap.ok and near.ok)
+    return Result(params, obj, table, summary, gap.ok)
 
 
 def _handle_ladder(args) -> Result:
@@ -384,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="certified ladder over a one-edge-at-a-time chain")
     p.add_argument("--r", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int, default=None)
-    group.add_argument("--slow", action="store_true",
-                       help="use m = minimal_m(r) instead of --m")
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--order", choices=("colex", "lex", "random"), default="colex")
     _add_opt_flags(p)
     _add_common(p)

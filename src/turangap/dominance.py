@@ -3,8 +3,8 @@
 A sorted composition is a non-increasing tuple of s non-negative integers
 summing to r.  Dominance compares prefix sums.  Down-closed families of
 compositions index the patterns whose simplex maximum sits at the uniform
-point; this module also carries the two scalar inequalities (a pairwise
-exchange bound and a binomial bunching identity) used to certify that.
+point; this module also carries the exact audit of the binomial bunching
+identity used to certify that.
 
 Half-integer indices in the bunching computation are stored doubled, so
 everything stays in exact integer and Fraction arithmetic.
@@ -197,7 +197,7 @@ def _ordered_tuples(r: int, s: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar inequalities behind the uniform-maximizer lemma
+# The bunching identity behind the uniform-maximizer lemma
 
 
 def _doubled_index(value, name: str) -> int:
@@ -207,32 +207,6 @@ def _doubled_index(value, name: str) -> int:
     if d.denominator != 1:
         raise ValueError(f"{name} must be an integer or half-integer, got {value}")
     return int(d)
-
-
-def muirhead_check(x: float, y: float, k, i, j) -> bool:
-    """Pairwise exchange bound for exponent pairs around k.
-
-    Checks x^(k+i) y^(k-i) + x^(k-i) y^(k+i) <= x^(k+j) y^(k-j)
-    + x^(k-j) y^(k+j) (with 1e-12 slack) for 0 <= i < j <= k.  Indices may
-    be half-integers as long as the exponents k+i, k-i, ... are integers.
-    """
-    if x < 0 or y < 0:
-        raise ValueError("x and y must be non-negative")
-    k2 = _doubled_index(k, "k")
-    i2 = _doubled_index(i, "i")
-    j2 = _doubled_index(j, "j")
-    if not 0 <= i2 < j2 <= k2:
-        raise ValueError(f"need 0 <= i < j <= k, got i={i}, j={j}, k={k}")
-    for name, v2 in (("i", i2), ("j", j2)):
-        if (k2 + v2) % 2:
-            raise ValueError(f"k+{name} must be an integer")
-    lo = x ** ((k2 + i2) // 2) * y ** ((k2 - i2) // 2) + x ** ((k2 - i2) // 2) * y ** (
-        (k2 + i2) // 2
-    )
-    hi = x ** ((k2 + j2) // 2) * y ** ((k2 - j2) // 2) + x ** ((k2 - j2) // 2) * y ** (
-        (k2 + j2) // 2
-    )
-    return lo <= hi + 1e-12
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,6 @@ def simple_pattern(r: int, m: int, edges: Iterable[Iterable[int]]) -> Pattern:
     return Pattern(r, m, tuple(ms))
 
 
-def complete_pattern(r: int, m: int) -> Pattern:
-    """All C(m, r) plain r-sets on {1, ..., m}."""
-    return simple_pattern(r, m, combinations(range(1, m + 1), r))
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 

@@ -2,18 +2,31 @@
 
 The enumerations check the occupancy closed form; the uniform value through
 the coefficient sum checks `uniform_value_exact`; the part-intersection
-profile of a vertex set checks the edge lists of `blow_up`.  Restriction of
-a down-set, the variable deletion behind the uniform-point lemma, is used
-only by tests that check down-closure survives it.
+profile of a vertex set checks the edge lists of `blow_up`; the widest gap
+between sorted chain values checks the cover corollary of
+`verify_gap_bound`.  Restriction of a down-set, the variable deletion behind
+the uniform-point lemma, is used only by tests that check down-closure
+survives it.  The complete pattern K_m is a test fixture.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from turangap.dominance import Composition, DownSet, compositions
-from turangap.patterns import LagrangePolynomial, RMultiset
+from turangap.patterns import LagrangePolynomial, Pattern, RMultiset, simple_pattern
+
+
+def complete_pattern(r: int, m: int) -> Pattern:
+    """All C(m, r) plain r-sets on {1, ..., m}."""
+    return simple_pattern(r, m, combinations(range(1, m + 1), r))
+
+
+def max_value_gap(values: Sequence[float]) -> float:
+    """Widest gap between neighbours among the sorted values."""
+    ordered = sorted(values)
+    return max(b - a for a, b in zip(ordered[:-1], ordered[1:]))
 
 
 def brute_occupancy_counts(r: int, s: int) -> dict:

@@ -30,18 +30,16 @@ from turangap import (
     minimal_m,
     mc_verdict,
     monte_carlo_urns,
-    near_equality_check,
     occupancy_count,
     simple_pattern,
-    value_axis_cover_ok,
     verify_gap_bound,
     verify_lemma,
 )
 from turangap.dominance import linear_extension
-from turangap.patterns import RMultiset, complete_pattern
+from turangap.patterns import RMultiset
 from turangap.simplex import gradient
 
-from oracles import enumerated_occupancy_counts, restrict
+from oracles import complete_pattern, enumerated_occupancy_counts, max_value_gap, restrict
 
 WORKED = Pattern.from_element_lists(3, 3, [(1, 1, 2), (1, 2, 3)])
 
@@ -92,16 +90,15 @@ def test_criterion_04_chain_m6(capsys):
     failures = []
     lad = build_chain_ladder(ChainConfig(3, 6, opt=OptimizerConfig(starts=24, seed=0)))
     gap = verify_gap_bound(lad)
-    near = near_equality_check(lad)
     if gap.step_violations or gap.monotone_violations:
         failures.append(f"violations {gap.step_violations} {gap.monotone_violations}")
-    if abs(lad.values[-1] - 5 / 9) > 1e-7:
-        failures.append(f"top {lad.values[-1]} vs 5/9")
-    if gap.max_step > 2 / 9 + 1e-6:
-        failures.append(f"max step {gap.max_step}")
-    if not near.ok:
-        failures.append(f"near-equality violations {near.violations}")
-    if not value_axis_cover_ok(lad):
+    if lad.exact_values[-1] != Fraction(5, 9):
+        failures.append(f"top {lad.exact_values[-1]} vs 5/9")
+    if lad.max_step > 2 / 9 + 1e-6:
+        failures.append(f"max step {lad.max_step}")
+    if gap.near_violations:
+        failures.append(f"near-equality violations {gap.near_violations}")
+    if max_value_gap(lad.values) > 2 / 9 + 1e-6:
         failures.append("value axis not covered within the step bound")
     _report(capsys, "04 chain r=3 m=6: monotone to 5/9, steps within 2/9, near-equality", failures)
 
@@ -113,15 +110,15 @@ def test_criterion_04b_chain_crosses_threshold(capsys):
         failures.append(f"minimal m {m} != 13")
     lad = build_chain_ladder(ChainConfig(3, m, opt=OptimizerConfig(starts=30, seed=0)))
     gap = verify_gap_bound(lad)
-    if not gap.top_checked or gap.top_value <= 1 - 2 / 9:
-        failures.append(f"top {gap.top_value} does not cross {1 - 2 / 9}")
-    if abs(gap.top_value - 132 / 169) > 1e-7:
-        failures.append(f"top {gap.top_value} vs 132/169")
+    if lad.exact_values[-1] != Fraction(132, 169):
+        failures.append(f"top {lad.exact_values[-1]} vs 132/169")
+    if lad.exact_values[-1] <= 1 - Fraction(2, 9):
+        failures.append(f"top {lad.exact_values[-1]} does not cross 7/9")
     if not gap.ok:
         failures.append("gap report not ok")
     if max(lad.kkt_residuals) >= 1e-6:
         failures.append(f"kkt residual {max(lad.kkt_residuals)}")
-    if not value_axis_cover_ok(lad):
+    if max_value_gap(lad.values) > 2 / 9 + 1e-6:
         failures.append("value axis not covered within the step bound")
     _report(capsys, "04b chain r=3 m=13: top value 132/169 crosses 1 - 2/9", failures)
 

@@ -5,19 +5,21 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from turangap import (
     ChainConfig,
     OptimizerConfig,
     build_chain_ladder,
     minimal_m,
-    near_equality_check,
-    value_axis_cover_ok,
     verify_gap_bound,
 )
-from turangap.chain import ChainLadder, edge_enumeration
+from turangap.chain import _STEP_SLACK, ChainLadder, edge_enumeration
 from turangap.patterns import simple_pattern
 from turangap.simplex import maximize
+
+from oracles import max_value_gap
 
 
 def test_minimal_m_r3_is_13():
@@ -80,22 +82,20 @@ def test_m6_chain_satisfies_every_check():
     assert len(lad.values) == comb(6, 3) + 1
 
     gap = verify_gap_bound(lad)
-    assert gap.ok
+    assert gap.ok and gap.steps_ok
     assert gap.step_violations == ()
     assert gap.monotone_violations == ()
-    assert not gap.top_checked  # 6 < minimal_m(3), threshold not in force
-    assert gap.max_step <= 2 / 9 + 1e-6
+    assert lad.max_step <= 2 / 9 + 1e-6
     # the very first edge is the worst step at this size
-    assert gap.max_step_index == 1
-    # complete pattern on 6 vertices peaks at 5/9
-    assert abs(lad.values[-1] - 5 / 9) < 1e-7
+    assert lad.max_step_index == 1
+    # complete pattern on 6 vertices peaks at 5/9, below 1 - 2/9
+    assert lad.exact_values[-1] == Fraction(5, 9)
+    assert 6 < minimal_m(3)
 
-    near = near_equality_check(lad)
-    assert near.ok
-    assert 1 in near.triggered
-    assert near.violations == ()
+    assert 1 in gap.near_triggered
+    assert gap.near_violations == ()
 
-    assert value_axis_cover_ok(lad)
+    assert max_value_gap(lad.values) <= 2 / 9 + 1e-6
 
 
 def test_chain_is_deterministic():
@@ -111,7 +111,7 @@ def test_chain_values_monotone_r4():
     lad = build_chain_ladder(cfg)
     gap = verify_gap_bound(lad)
     assert gap.ok
-    assert gap.max_step <= factorial(4) / 4**4 + 1e-6
+    assert lad.max_step <= factorial(4) / 4**4 + 1e-6
     assert lad.values[-1] == max(lad.values)
 
 
@@ -120,46 +120,64 @@ def test_gap_report_fields():
     gap = verify_gap_bound(build_chain_ladder(cfg))
     assert gap.r == 3 and gap.m == 4
     assert abs(gap.bound - 2 / 9) < 1e-15
-    assert gap.top_threshold == pytest.approx(1 - 2 / 9)
-    assert 0 < gap.max_step <= gap.bound + 1e-6
+    assert gap.near_triggered == (1,)
     assert gap.ok
 
 
 def test_near_equality_flags_only_small_predecessors():
     cfg = ChainConfig(3, 6, opt=OptimizerConfig(starts=24, seed=0))
-    near = near_equality_check(build_chain_ladder(cfg))
+    gap = verify_gap_bound(build_chain_ladder(cfg))
     # a step within 0.01 of the bound forces the previous value below 0.01
-    assert near.triggered != ()
-    assert near.violations == ()
-    assert near.ok
+    assert gap.near_triggered != ()
+    assert gap.near_violations == ()
+    assert gap.ok
 
 
 def _fabricated_ladder(*values: float) -> ChainLadder:
-    """An r=3, m=4 ladder with the given rung values, no optimizer run."""
-    edges = edge_enumeration(4, 3)[: len(values) - 1]
-    return ChainLadder(ChainConfig(3, 4), edges, values, (None,) * len(values),
-                       ((0.25,) * 4,) * len(values), (0.0,) * len(values))
+    """An r=3 ladder with the given rung values, no optimizer run; the top
+    rung is closed-form, as in every built ladder."""
+    edges = edge_enumeration(8, 3)[: len(values) - 1]
+    exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
+    return ChainLadder(ChainConfig(3, 8), edges, values, exact,
+                       ((0.125,) * 8,) * len(values), (0.0,) * len(values))
 
 
 def test_chain_checks_fail_beyond_their_float_slack():
-    # steps are checked against 2/9 with 1e-6 slack, value gaps with 2e-6
-    within = _fabricated_ladder(0.0, 2 / 9 + 0.5e-6)
-    assert verify_gap_bound(within).ok and value_axis_cover_ok(within)
-    step_over = _fabricated_ladder(0.0, 2 / 9 + 1.5e-6)
-    assert verify_gap_bound(step_over).step_violations == (1,)
-    assert not verify_gap_bound(step_over).ok and value_axis_cover_ok(step_over)
-    gap_over = _fabricated_ladder(0.0, 2 / 9 + 3e-6)
-    assert not value_axis_cover_ok(gap_over)
-    falling = _fabricated_ladder(0.0, 0.1, 0.05)
-    assert verify_gap_bound(falling).monotone_violations == (2,)
+    # steps are checked against 2/9 with 1e-6 slack, falls with 1e-9
+    assert verify_gap_bound(_fabricated_ladder(0.0, 2 / 9 + 0.5e-6)).ok
+    step_over = verify_gap_bound(_fabricated_ladder(0.0, 2 / 9 + 1.5e-6))
+    assert step_over.step_violations == (1,) and not step_over.steps_ok
+    assert not step_over.ok
+    assert verify_gap_bound(_fabricated_ladder(0.0, 0.1, 0.1 - 0.5e-9)).ok
+    falling = verify_gap_bound(_fabricated_ladder(0.0, 0.1, 0.1 - 2e-9))
+    assert falling.monotone_violations == (2,) and not falling.steps_ok
+    assert not falling.ok
 
 
 def test_near_equality_fails_on_a_large_predecessor():
     # a step within 0.01 of 2/9 must start from a value below 0.01
-    near = near_equality_check(_fabricated_ladder(0.0, 0.009, 0.009 + 2 / 9 - 0.005))
-    assert near.triggered == (2,) and near.ok
-    near = near_equality_check(_fabricated_ladder(0.0, 0.02, 0.02 + 2 / 9 - 0.005))
-    assert near.triggered == (2,) and near.violations == (2,) and not near.ok
+    gap = verify_gap_bound(_fabricated_ladder(0.0, 0.0099, 0.0099 + 2 / 9 - 0.005))
+    assert gap.near_triggered == (2,) and gap.ok
+    gap = verify_gap_bound(_fabricated_ladder(0.0, 0.0101, 0.0101 + 2 / 9 - 0.005))
+    assert gap.near_triggered == (2,) and gap.near_violations == (2,)
+    assert gap.steps_ok and not gap.ok
+    # a step just short of 2/9 - 0.01 is not audited at all
+    gap = verify_gap_bound(_fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.0101))
+    assert gap.near_triggered == () and gap.ok
+
+
+_STEPS = st.one_of(st.floats(-0.3, 0.3), st.floats(-1e-9, 0.0),
+                   st.floats(2 / 9 - 1e-6, 2 / 9 + 2e-6))
+
+
+@given(st.lists(_STEPS, min_size=1, max_size=40))
+def test_bounded_steps_leave_no_longer_gap_on_the_value_axis(steps):
+    # rung 0 = 0 is the least value, as for every chain of Lagrangians
+    values = [0.0]
+    for d in steps:
+        values.append(max(0.0, values[-1] + d))
+    if verify_gap_bound(_fabricated_ladder(*values)).steps_ok:
+        assert max_value_gap(values) <= 2 / 9 + _STEP_SLACK
 
 
 def _qualifies(r: int, edges) -> bool:

@@ -94,8 +94,14 @@ def test_chain_subcommand(tmp_path, capsys):
     assert obj["max_step"] <= 2 / 9 + 1e-6
 
 
-def test_chain_requires_m_without_slow(tmp_path):
+def test_chain_requires_m(tmp_path):
     assert dispatch(["chain", "--r", "3", "--out", str(tmp_path)]) == 2
+
+
+def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys):
+    # 13 = minimal_m(3), the smallest m whose top rung crosses 7/9
+    assert dispatch(["chain", "--r", "3", "--m", "13", "--out", str(tmp_path)]) == 0
+    assert "(threshold 0.777777778, checked: True)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

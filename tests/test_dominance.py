@@ -1,6 +1,5 @@
-"""Compositions, dominance, down-closed families, and the two inequalities."""
+"""Compositions, dominance, down-closed families, and the bunching identity."""
 
-import random
 from fractions import Fraction
 from math import comb
 
@@ -14,7 +13,6 @@ from turangap import (
     dominates,
     iter_down_sets,
     lagrange_polynomial,
-    muirhead_check,
 )
 from turangap.dominance import (
     down_closure,
@@ -197,38 +195,6 @@ def _ordered(r, s):
     for first in range(r + 1):
         for rest in _ordered(r - first, s - 1):
             yield (first,) + rest
-
-
-def test_muirhead_worked_case_and_sweep():
-    assert muirhead_check(2.0, 1.0, 2, 0, 2)  # 8 <= 17
-    rng = random.Random(6)
-    for _ in range(300):
-        k2 = rng.randint(1, 12)
-        j2 = rng.randint(1, k2)
-        i2 = rng.randint(0, j2 - 1)
-        # parity: i and j must sit on the same half-integer lattice as k
-        i2 -= (i2 - k2) % 2
-        if i2 < 0 or i2 >= j2 - ((j2 - k2) % 2):
-            continue
-        j2 -= (j2 - k2) % 2
-        if i2 >= j2:
-            continue
-        x = rng.uniform(0, 4)
-        y = rng.uniform(0, 4)
-        assert muirhead_check(
-            x, y, Fraction(k2, 2), Fraction(i2, 2), Fraction(j2, 2)
-        ), (x, y, k2, i2, j2)
-
-
-def test_muirhead_validation():
-    with pytest.raises(ValueError):
-        muirhead_check(1.0, 1.0, 2, 1, 1)  # needs i < j
-    with pytest.raises(ValueError):
-        muirhead_check(-1.0, 1.0, 2, 0, 1)
-    with pytest.raises(ValueError):
-        muirhead_check(1.0, 1.0, 2, Fraction(1, 2), 2)  # off-lattice index
-    with pytest.raises(ValueError):
-        muirhead_check(1.0, 1.0, Fraction(1, 3), 0, 1)
 
 
 def test_bunching_worked_case_r2():

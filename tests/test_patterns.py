@@ -20,13 +20,12 @@ from turangap import (
 )
 from turangap.patterns import (
     RMultiset,
-    complete_pattern,
     largest_remainder_sizes,
     pattern_from_dict,
     pattern_to_dict,
 )
 
-from oracles import eval_uniform_exact, profile
+from oracles import complete_pattern, eval_uniform_exact, profile
 
 WORKED = Pattern.from_element_lists(3, 3, [[1, 1, 2], [1, 2, 3]])
 

@@ -23,7 +23,7 @@ from turangap import (
 )
 import turangap.simplex as sx
 from turangap.dominance import pattern_of
-from turangap.patterns import RMultiset, complete_pattern, evaluate_batch
+from turangap.patterns import RMultiset, evaluate_batch
 from turangap.simplex import (
     _TOLERANCE,
     SUPPORT_EPS,
@@ -33,6 +33,8 @@ from turangap.simplex import (
     kkt_residual,
     project_to_simplex,
 )
+
+from oracles import complete_pattern
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
 
