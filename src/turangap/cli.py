@@ -3,14 +3,16 @@
 Each subcommand computes one ``Result`` and writes nothing itself; one
 writer then writes the machine-readable artifact (csv or json; text for
 ``blow-up``) plus a manifest JSON next to it, so a failed run writes no
-artifact.  Artifact names are content-addressed from the full parameter
-set, so identical invocations rewrite byte-identical primary outputs; the
-manifest wall time (Monte Carlo included) is informational only.
+artifact.  argparse alone reads the command line and its type converters
+normalize each flag; artifact names are content-addressed from the parsed
+flags, so identical invocations rewrite byte-identical primary outputs.
+The manifest wall time (Monte Carlo included) is informational only.
+Stdout holds only the summary; the artifact path goes to stderr.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
-reported as ``turangap <command>: <message>``.  ``chain`` reports whether
-its top rung crosses 1 - r!/r^r once m >= minimal_m(r); for that m run
-``chain --m "$(turangap minimal-m --r R | head -n 1)"``.
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
+(argparse's, or ``turangap <command>: <message>``).  ``chain`` reports
+whether its top rung crosses 1 - r!/r^r once m >= minimal_m(r); for that m
+run ``chain --m "$(turangap minimal-m --r R)"``.
 """
 
 from __future__ import annotations
@@ -53,12 +55,11 @@ from .simplex import OptimizerConfig, certificate, maximize
 
 @dataclass(frozen=True)
 class Result:
-    """One subcommand's output: content-address ``params`` without ``format``,
-    the json object, a (csv header, rows) ``table`` or the finished text of a
-    ``.txt`` artifact, summary lines, and False in ``ok`` if a check failed.
+    """One subcommand's output: the json object, a (csv header, rows)
+    ``table`` or the finished text of a ``.txt`` artifact, summary lines,
+    and False in ``ok`` if a check failed.
     """
 
-    params: dict
     json: object
     table: tuple[list[str], list[list]] | str
     summary: list[str]
@@ -77,10 +78,12 @@ def _write(args, result: Result, wall_time_s: float) -> str:
         writer.writerow(result.table[0])
         writer.writerows(result.table[1])
         content, ext = buf.getvalue(), ".csv"
-    # the first four manifest keys are the content address
+    # the first four manifest keys are the content address; the parameters
+    # are every parsed flag but --seed (a key of its own) and --out
     manifest = {
         "command": args.command,
-        "parameters": {**result.params, "format": args.format},
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("command", "handler", "seed", "out")},
         "seed": args.seed,
         "version": __version__,
     }
@@ -103,20 +106,9 @@ def _frac_str(f: Fraction) -> str:
 # subcommand handlers
 
 
-def _opt_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        starts=args.starts, max_iterations=args.max_iter, seed=args.seed
-    )
-
-
 def _handle_lagrangian(args) -> Result:
     pattern = load_pattern(args.pattern)
-    res = maximize(pattern, _opt_config(args))
-    params = {
-        "pattern": os.path.abspath(args.pattern),
-        "starts": args.starts,
-        "max_iter": args.max_iter,
-    }
+    res = maximize(pattern, OptimizerConfig(seed=args.seed))
     point = " ".join(f"{v:.17g}" for v in res.point)
     table = (
         ["value", "kkt_residual", "starts", "seed", "point"],
@@ -128,21 +120,14 @@ def _handle_lagrangian(args) -> Result:
         f"point:        ({', '.join(f'{v:.6f}' for v in res.point)})",
         f"kkt residual: {res.kkt_residual:.3e}",
     ]
-    return Result(params, certificate(pattern, res), table, summary)
+    return Result(certificate(pattern, res), table, summary)
 
 
 def _handle_chain(args) -> Result:
     r, m = args.r, args.m
-    config = ChainConfig(r=r, m=m, edge_order=args.order, opt=_opt_config(args))
+    config = ChainConfig(r=r, m=m, edge_order=args.order, opt=OptimizerConfig(seed=args.seed))
     lad = build_chain_ladder(config)
     gap = verify_gap_bound(lad)
-    params = {
-        "r": r,
-        "m": m,
-        "order": args.order,
-        "starts": args.starts,
-        "max_iter": args.max_iter,
-    }
     steps = (0.0,) + lad.steps
     rows = [
         [i, i, f"{lad.values[i]:.17g}", f"{steps[i]:.17g}", f"{lad.kkt_residuals[i]:.3e}"]
@@ -173,14 +158,13 @@ def _handle_chain(args) -> Result:
         f"{'ok' if not gap.near_violations else f'VIOLATED at {gap.near_violations}'}",
     ]
     table = (["index", "num_edges", "value", "step", "kkt_residual"], rows)
-    return Result(params, obj, table, summary, gap.ok)
+    return Result(obj, table, summary, gap.ok)
 
 
 def _handle_ladder(args) -> Result:
     # Monte Carlo first: it rejects a bad trial count before the ladder is built
     freq = monte_carlo_urns(args.r, args.mc_trials, args.seed) if args.mc_trials else None
     entries = ladder(args.r)
-    params = {"r": args.r, "mc_trials": args.mc_trials}
     rows = []
     summary = [f"ladder r={args.r}: {len(entries) - 1} rungs"]
     for e in entries:
@@ -205,7 +189,7 @@ def _handle_ladder(args) -> Result:
     }
     table = (["index", "composition", "value_num", "value_den", "step_num", "step_den"], rows)
     if freq is None:
-        return Result(params, obj, table, summary, True)
+        return Result(obj, table, summary)
     summary.append(f"monte carlo ({args.mc_trials} trials, seed {args.seed}):")
     verdict = mc_verdict(freq, args.mc_trials, args.r)
     for comp, f in freq.items():
@@ -213,7 +197,7 @@ def _handle_ladder(args) -> Result:
         summary.append(f"  {'-'.join(map(str, comp)):<24} exact {p:.6f} "
                        f"empirical {f:.6f} (n*KL {verdict.scores[comp]:.2f})")
     summary.append(f"worst n*KL: {verdict.worst:.2f} (limit {verdict.limit:.2f})")
-    return Result(params, obj, table, summary, verdict.ok)
+    return Result(obj, table, summary, verdict.ok)
 
 
 def _handle_max_step(args) -> Result:
@@ -225,7 +209,7 @@ def _handle_max_step(args) -> Result:
     )
     summary = [f"largest ladder step for r={args.r}: {step} "
                f"(= {float(step):.9f}) at composition {comp}"]
-    return Result({"r": args.r}, obj, table, summary)
+    return Result(obj, table, summary)
 
 
 def _handle_lemma_check(args) -> Result:
@@ -238,16 +222,8 @@ def _handle_lemma_check(args) -> Result:
         sets = [down]
     else:
         sets = list(iter_down_sets(args.r, args.s))
-    opt = _opt_config(args)
+    opt = OptimizerConfig(seed=args.seed)
     reports = [verify_lemma(a, opt) for a in sets]
-    params = {
-        "r": args.r,
-        "s": args.s,
-        "all_downsets": bool(args.all_downsets),
-        "downset": os.path.abspath(args.downset) if args.downset else None,
-        "starts": args.starts,
-        "max_iter": args.max_iter,
-    }
     rows = []
     summary = [f"lemma-check r={args.r} s={args.s}: {len(reports)} down-closed families"]
     for rep in reports:
@@ -287,14 +263,11 @@ def _handle_lemma_check(args) -> Result:
          "grid_bound", "status"],
         rows,
     )
-    return Result(params, obj, table, summary, all(rep.passed for rep in reports))
+    return Result(obj, table, summary, all(rep.passed for rep in reports))
 
 
 def _handle_bunching(args) -> Result:
-    try:
-        h = Fraction(args.h)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse --h value {args.h!r}") from None
+    h = Fraction(args.h)
     report = bunching_verify(args.r, h, seed=args.seed)
     rows = []
     summary = [f"bunching r={args.r} h={h}: grouped coefficients"]
@@ -308,7 +281,7 @@ def _handle_bunching(args) -> Result:
                    f"sampled min: {float(report.sample_min):.3e} over {report.samples} points")
     obj = {
         "r": args.r,
-        "h": str(h),
+        "h": args.h,
         "coefficients": [{"j": j, "coefficient": f"{n}/{d}"} for j, n, d, _ in rows],
         "inside_ok": report.inside_ok,
         "outside_ok": report.outside_ok,
@@ -317,33 +290,25 @@ def _handle_bunching(args) -> Result:
         "passed": report.passed,
     }
     table = (["j", "coeff_num", "coeff_den", "region"], rows)
-    return Result({"r": args.r, "h": str(h)}, obj, table, summary, report.passed)
+    return Result(obj, table, summary, report.passed)
 
 
 def _handle_blow_up(args) -> Result:
     pattern = load_pattern(args.pattern)
-    try:
-        sizes = tuple(int(v) for v in args.sizes.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse --sizes value {args.sizes!r}") from None
-    spec = BlowupSpec(pattern, sizes)
+    spec = BlowupSpec(pattern, args.sizes)
     edges = blow_up(spec)
     expected = blowup_edge_count(spec)
-    params = {
-        "pattern": os.path.abspath(args.pattern),
-        "sizes": list(sizes),
-    }
-    obj = {"part_sizes": list(sizes), "edge_count": len(edges),
+    obj = {"part_sizes": list(args.sizes), "edge_count": len(edges),
            "edges": [list(e) for e in edges]}
     text = "".join(" ".join(map(str, e)) + "\n" for e in edges)
-    summary = [f"blow-up of r={pattern.r} m={pattern.m} pattern with sizes {sizes}: "
+    summary = [f"blow-up of r={pattern.r} m={pattern.m} pattern with sizes {args.sizes}: "
                f"{len(edges)} edges (closed form {expected})"]
-    return Result(params, obj, text, summary, len(edges) == expected)
+    return Result(obj, text, summary, len(edges) == expected)
 
 
 def _handle_minimal_m(args) -> Result:
     m = minimal_m(args.r)
-    return Result({"r": args.r}, {"r": args.r, "m": m}, (["r", "m"], [[args.r, m]]), [str(m)])
+    return Result({"r": args.r, "m": m}, (["r", "m"], [[args.r, m]]), [str(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +323,18 @@ def _add_common(sub, seed=True):
     sub.add_argument("--out", default=".", help="artifact directory (default .)")
 
 
-def _add_opt_flags(sub):
-    sub.add_argument("--starts", type=int, default=50,
-                     help="optimizer restarts (default 50)")
-    sub.add_argument("--max-iter", type=int, default=5000, dest="max_iter",
-                     help="optimizer iteration cap per start (default 5000)")
+def _fraction(text: str) -> str:
+    try:
+        return str(Fraction(text))
+    except (ValueError, ZeroDivisionError):  # argparse does not catch the second
+        raise argparse.ArgumentTypeError(f"cannot parse --h value {text!r}") from None
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse --sizes value {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lagrangian", help="maximize one pattern over the simplex")
-    p.add_argument("--pattern", required=True, help="pattern JSON file")
-    _add_opt_flags(p)
+    p.add_argument("--pattern", type=os.path.abspath, required=True, help="pattern JSON file")
     _add_common(p)
     p.set_defaults(handler=_handle_lagrangian)
 
@@ -383,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--order", choices=("colex", "lex", "random"), default="colex")
-    _add_opt_flags(p)
     _add_common(p)
     p.set_defaults(handler=_handle_chain)
 
@@ -405,21 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all-downsets", action="store_true", dest="all_downsets")
-    group.add_argument("--downset", default=None, help="down-set JSON file")
-    _add_opt_flags(p)
+    group.add_argument("--downset", type=os.path.abspath, help="down-set JSON file")
     _add_common(p)
     p.set_defaults(handler=_handle_lemma_check)
 
     p = sub.add_parser("bunching", help="coefficient audit of the averaging inequality")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--h", required=True,
+    p.add_argument("--h", type=_fraction, required=True,
                    help="layer bound, integer or half-integer (e.g. 2, 3/2, 0.5)")
     _add_common(p)
     p.set_defaults(handler=_handle_bunching)
 
     p = sub.add_parser("blow-up", help="materialize the blow-up of a pattern")
-    p.add_argument("--pattern", required=True, help="pattern JSON file")
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--pattern", type=os.path.abspath, required=True, help="pattern JSON file")
+    p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma-separated class sizes, e.g. 3,2")
     _add_common(p, seed=False)
     p.set_defaults(handler=_handle_blow_up, seed=None)
@@ -449,7 +418,7 @@ def dispatch(argv) -> int:
         return 2
     for line in result.summary:
         print(line)
-    print(f"wrote {path}")
+    print(f"wrote {path}", file=sys.stderr)
     return 0 if result.ok else 1
 
 

@@ -32,8 +32,7 @@ def _artifacts(tmp_path, stem):
 
 def test_lagrangian_csv_and_manifest(tmp_path, pattern_file, capsys):
     code = dispatch(
-        ["lagrangian", "--pattern", pattern_file, "--starts", "12",
-         "--out", str(tmp_path)]
+        ["lagrangian", "--pattern", pattern_file, "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -51,8 +50,7 @@ def test_lagrangian_csv_and_manifest(tmp_path, pattern_file, capsys):
 
 
 def test_identical_runs_are_byte_identical(tmp_path, pattern_file):
-    argv = ["lagrangian", "--pattern", pattern_file, "--starts", "8",
-            "--out", str(tmp_path)]
+    argv = ["lagrangian", "--pattern", pattern_file, "--out", str(tmp_path)]
     assert dispatch(argv) == 0
     primaries, _ = _artifacts(tmp_path, "lagrangian-")
     first = primaries[0].read_bytes()
@@ -68,8 +66,8 @@ def test_identical_runs_are_byte_identical(tmp_path, pattern_file):
 
 def test_lagrangian_json_format(tmp_path, pattern_file):
     code = dispatch(
-        ["lagrangian", "--pattern", pattern_file, "--starts", "8",
-         "--format", "json", "--out", str(tmp_path)]
+        ["lagrangian", "--pattern", pattern_file, "--format", "json",
+         "--out", str(tmp_path)]
     )
     assert code == 0
     primaries, _ = _artifacts(tmp_path, "lagrangian-")
@@ -80,8 +78,7 @@ def test_lagrangian_json_format(tmp_path, pattern_file):
 
 def test_chain_subcommand(tmp_path, capsys):
     code = dispatch(
-        ["chain", "--r", "3", "--m", "5", "--starts", "12",
-         "--format", "json", "--out", str(tmp_path)]
+        ["chain", "--r", "3", "--m", "5", "--format", "json", "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -99,9 +96,11 @@ def test_chain_requires_m(tmp_path):
 
 
 def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys):
-    # 13 = minimal_m(3), the smallest m whose top rung crosses 7/9
-    assert dispatch(["chain", "--r", "3", "--m", "13", "--out", str(tmp_path)]) == 0
-    assert "(threshold 0.777777778, checked: True)" in capsys.readouterr().out
+    # 3 = minimal_m(2), the smallest m whose top rung crosses 1/2
+    assert dispatch(["chain", "--r", "2", "--m", "3", "--out", str(tmp_path)]) == 0
+    assert "(threshold 0.500000000, checked: True)" in capsys.readouterr().out
+    assert dispatch(["chain", "--r", "2", "--m", "2", "--out", str(tmp_path)]) == 0
+    assert "(threshold 0.500000000, checked: False)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -109,8 +108,8 @@ def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys):
     [
         ["ladder", "--r", "3", "--mc-trials", "-1"],
         ["chain", "--r", "3"],
-        ["chain", "--r", "3", "--m", "4", "--slow"],
         ["bunching", "--r", "4", "--h", "wat"],
+        ["bunching", "--r", "4", "--h", "1/0"],
         ["blow-up", "--pattern", "PATTERN", "--sizes", "2,x,2"],
         ["lemma-check", "--r", "4", "--s", "2", "--downset", "DOWNSET"],
     ],
@@ -180,8 +179,7 @@ def test_max_step_subcommand(tmp_path, capsys):
 
 def test_lemma_check_all_downsets(tmp_path, capsys):
     code = dispatch(
-        ["lemma-check", "--r", "3", "--s", "2", "--all-downsets",
-         "--starts", "12", "--out", str(tmp_path)]
+        ["lemma-check", "--r", "3", "--s", "2", "--all-downsets", "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -198,7 +196,7 @@ def test_lemma_check_single_downset_file(tmp_path):
     path.write_text(json.dumps(downset_to_dict(down)))
     code = dispatch(
         ["lemma-check", "--r", "3", "--s", "2", "--downset", str(path),
-         "--starts", "12", "--format", "json", "--out", str(tmp_path)]
+         "--format", "json", "--out", str(tmp_path)]
     )
     assert code == 0
     primaries, _ = _artifacts(tmp_path, "lemma-check-")
@@ -285,8 +283,11 @@ def test_blow_up_wrong_part_count_is_usage_error(tmp_path, pattern_file):
 def test_minimal_m_prints_13(tmp_path, capsys):
     code = dispatch(["minimal-m", "--r", "3", "--out", str(tmp_path)])
     assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == "13"
+    captured = capsys.readouterr()
+    # stdout holds only the number, so $(turangap minimal-m ...) can feed --m
+    assert captured.out == "13\n"
     primaries, _ = _artifacts(tmp_path, "minimal-m-")
+    assert captured.err == f"wrote {primaries[0]}\n"
     rows = list(csv.DictReader(primaries[0].open()))
     assert rows[0]["m"] == "13"
 
@@ -354,8 +355,8 @@ def test_pattern_roundtrip_through_cli(tmp_path):
     path = tmp_path / "single.json"
     path.write_text(json.dumps(pattern_to_dict(simple_pattern(3, 3, [(1, 2, 3)]))))
     code = dispatch(
-        ["lagrangian", "--pattern", str(path), "--starts", "8",
-         "--format", "json", "--out", str(tmp_path)]
+        ["lagrangian", "--pattern", str(path), "--format", "json",
+         "--out", str(tmp_path)]
     )
     assert code == 0
     primaries, _ = _artifacts(tmp_path, "lagrangian-")
