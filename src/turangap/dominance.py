@@ -252,9 +252,14 @@ def bunching_verify(r: int, h, samples: int = 1000, seed: int = 0) -> BunchingRe
     With k = r/2 and translate set I_h = (Z + k) intersected with [-h, h],
     the inequality is sum over i in I_h of C(2k, k+i) (((x+y)/2)^(2k)
     - x^(k+i) y^(k-i)) >= 0 for x, y >= 0.  All indices are doubled
-    internally; coefficients are exact Fractions.  Sample points are exact
-    rationals on a 1/1000 grid in [0, 5]^2, so the sampled minimum is exact.
+    internally; coefficients are exact Fractions.  The sample points
+    (px/1000, py/1000) are drawn with px, py uniform in 0..5000; at each, the
+    left side times 2^r * 1000^r is the integer L (px+py)^r - 2^r sum over
+    the window of C(2k, k+i) px^(k+i) py^(k-i), with L the window's binomial
+    sum, so the sampled minimum is exact.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     h2 = _doubled_index(h, "h")
     valid = bunching_indices(r)
     if h2 not in valid:
@@ -280,20 +285,13 @@ def bunching_verify(r: int, h, samples: int = 1000, seed: int = 0) -> BunchingRe
         coeffs.append((j2, c))
         total += c
 
-    rng = np.random.default_rng(seed)
-    grid = rng.integers(0, 5001, size=(samples, 2))
-    sample_min: Fraction | None = None
-    for px, py in grid:
-        x = Fraction(int(px), 1000)
-        y = Fraction(int(py), 1000)
-        avg_pow = ((x + y) / 2) ** r
-        val = Fraction(0)
-        for i2 in window:
-            b = comb(r, (r + i2) // 2)
-            val += b * (avg_pow - x ** ((r + i2) // 2) * y ** ((r - i2) // 2))
-        if sample_min is None or val < sample_min:
-            sample_min = val
-    assert sample_min is not None
+    # val * 2^r * 1000^r at x = px/1000, y = py/1000, an exact integer
+    terms = [(comb(r, (r + i2) // 2), (r + i2) // 2) for i2 in window]
+    grid = np.random.default_rng(seed).integers(0, 5001, size=(samples, 2))
+    scaled_min = min(
+        layer_sum * (px + py) ** r - 2**r * sum(b * px**a * py ** (r - a) for b, a in terms)
+        for px, py in grid.tolist()
+    )
     return BunchingReport(
         r=r,
         h2=h2,
@@ -301,7 +299,7 @@ def bunching_verify(r: int, h, samples: int = 1000, seed: int = 0) -> BunchingRe
         inside_ok=inside_ok,
         outside_ok=outside_ok,
         zero_sum_ok=(total == 0),
-        sample_min=sample_min,
+        sample_min=Fraction(scaled_min, 2**r * 1000**r),
         samples=samples,
         seed=seed,
     )

@@ -9,7 +9,6 @@ routes can be cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 import warnings
 
@@ -217,21 +216,24 @@ def certificate(p: Pattern, result: OptResult) -> dict:
 
 
 def _grid_points(resolution: int, m: int) -> Iterable[np.ndarray]:
-    """Simplex grid {k / resolution} in batches, stars-and-bars order."""
-    batch: list[tuple[int, ...]] = []
-    for bars in combinations(range(resolution + m - 1), m - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(resolution + m - 2 - prev)
-        batch.append(tuple(parts))
-        if len(batch) == 8192:
-            yield np.asarray(batch, dtype=np.float64) / resolution
-            batch = []
-    if batch:
-        yield np.asarray(batch, dtype=np.float64) / resolution
+    """Simplex grid {k / resolution} in float64 batches of 8192 rows.
+
+    The compositions of resolution into m parts are built whole, as one
+    C(resolution + m - 1, m - 1) x m int32 array in lexicographic order (the
+    stars-and-bars order of the bar positions): each round appends every
+    value a part can still take to every row.  Nothing is cached.
+    """
+    rows = np.zeros((1, 0), dtype=np.int32)
+    left = np.array([resolution], dtype=np.int32)  # not yet given to a part
+    for _ in range(m - 1):
+        counts = left + 1
+        part = np.arange(counts.sum(), dtype=np.int32)
+        part -= np.repeat(part[np.cumsum(counts) - counts], counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), part])
+        left = np.repeat(left, counts) - part
+    rows = np.column_stack([rows, left])
+    for i in range(0, len(rows), 8192):
+        yield rows[i:i + 8192].astype(np.float64) / resolution
 
 
 def certify_max_upper(p: Pattern, resolution: int) -> float:

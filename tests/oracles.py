@@ -6,13 +6,17 @@ profile of a vertex set checks the edge lists of `blow_up`; the widest gap
 between sorted chain values checks the cover corollary of
 `verify_gap_bound`.  Restriction of a down-set, the variable deletion behind
 the uniform-point lemma, is used only by tests that check down-closure
-survives it.  The complete pattern K_m is a test fixture.
+survives it.  The complete pattern K_m is a test fixture.  The tuple-by-tuple
+simplex grid checks the numpy grid of `certify_max_upper`, and the Fraction
+sampling loop checks the integer-numerator minimum of `bunching_verify`.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
-from typing import Iterable, Mapping, Sequence
+from math import comb, factorial
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from turangap.dominance import Composition, DownSet, compositions
 from turangap.patterns import LagrangePolynomial, Pattern, RMultiset, simple_pattern
@@ -127,3 +131,42 @@ def restrict(a: DownSet, j: int) -> DownSet:
         y for y in compositions(a.r - j, a.s - 1) if insert_sorted(y, j) in a.members
     )
     return DownSet(a.r - j, a.s - 1, members)
+
+
+def grid_points_by_tuples(resolution: int, m: int) -> Iterator[np.ndarray]:
+    """Simplex grid {k / resolution} in 8192-row float64 batches, one Python
+    tuple per point, in the stars-and-bars order of the bar positions."""
+    batch: list[tuple[int, ...]] = []
+    for bars in combinations(range(resolution + m - 1), m - 1):
+        prev = -1
+        parts = []
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(resolution + m - 2 - prev)
+        batch.append(tuple(parts))
+        if len(batch) == 8192:
+            yield np.asarray(batch, dtype=np.float64) / resolution
+            batch = []
+    if batch:
+        yield np.asarray(batch, dtype=np.float64) / resolution
+
+
+def bunching_sample_min_fractions(r: int, h2: int, samples: int, seed: int) -> Fraction:
+    """Sampled minimum of the averaging inequality at doubled layer bound h2,
+    one Fraction per term, on the same draw as `bunching_verify`."""
+    window = [i2 for i2 in range(-r, r + 1, 2) if abs(i2) <= h2]
+    grid = np.random.default_rng(seed).integers(0, 5001, size=(samples, 2))
+    sample_min: Fraction | None = None
+    for px, py in grid:
+        x = Fraction(int(px), 1000)
+        y = Fraction(int(py), 1000)
+        avg_pow = ((x + y) / 2) ** r
+        val = Fraction(0)
+        for i2 in window:
+            b = comb(r, (r + i2) // 2)
+            val += b * (avg_pow - x ** ((r + i2) // 2) * y ** ((r - i2) // 2))
+        if sample_min is None or val < sample_min:
+            sample_min = val
+    assert sample_min is not None
+    return sample_min

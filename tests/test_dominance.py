@@ -23,7 +23,7 @@ from turangap.dominance import (
     pattern_of,
 )
 
-from oracles import insert_sorted, restrict
+from oracles import bunching_sample_min_fractions, insert_sorted, restrict
 
 
 def test_compositions_reverse_lex():
@@ -224,6 +224,19 @@ def test_bunching_indices_and_validation():
         bunching_verify(5, 1)  # off-lattice for odd r
     with pytest.raises(ValueError):
         bunching_verify(4, 3)  # beyond k
+
+
+def test_bunching_rejects_empty_sample():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        bunching_verify(4, 1, samples=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bunching_sample_min_matches_fraction_oracle(seed):
+    for r in range(2, 17):
+        for h2 in bunching_indices(r):
+            rep = bunching_verify(r, Fraction(h2, 2), samples=200, seed=seed)
+            assert rep.sample_min == bunching_sample_min_fractions(r, h2, 200, seed), (r, h2)
 
 
 def test_bunching_sign_structure_everywhere():

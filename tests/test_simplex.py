@@ -34,7 +34,7 @@ from turangap.simplex import (
     project_to_simplex,
 )
 
-from oracles import complete_pattern
+from oracles import complete_pattern, grid_points_by_tuples
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
 
@@ -194,6 +194,30 @@ def test_certify_max_upper_warns_when_coarse():
         certify_max_upper(complete_pattern(2, 7), 10)  # m > 6 unsupported
     with pytest.warns(UserWarning):
         certify_max_upper(p, 2)
+
+
+@pytest.mark.parametrize("resolution, m", [(800, 1), (800, 2), (200, 3), (60, 4), (7, 5), (5, 6)])
+def test_grid_points_match_tuple_oracle(resolution, m):
+    got = list(sx._grid_points(resolution, m))
+    want = list(grid_points_by_tuples(resolution, m))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_certify_max_upper_same_bound_over_tuple_grid(monkeypatch):
+    patterns = [
+        (SINGLE_EDGE_3, 60),
+        (complete_pattern(2, 4), 60),
+        (pattern_of(DownSet(3, 3, frozenset({(1, 1, 1)}))), 200),
+        (pattern_of(DownSet(4, 4, frozenset({(2, 1, 1, 0), (1, 1, 1, 1)}))), 60),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bounds = [certify_max_upper(p, res) for p, res in patterns]
+        monkeypatch.setattr(sx, "_grid_points", grid_points_by_tuples)
+        assert [certify_max_upper(p, res) for p, res in patterns] == bounds
 
 
 def test_optimizer_config_validation():
