@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
-from .patterns import Pattern, RMultiset, lagrange_polynomial
+from .patterns import lagrange_polynomial, simple_pattern
 from .simplex import OptimizerConfig, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
@@ -137,14 +137,12 @@ def build_chain_ladder(config: ChainConfig) -> ChainLadder:
     """
     r, m = config.r, config.m
     edges = edge_enumeration(m, r, config.edge_order, config.opt.seed)
-    multisets: list[RMultiset] = []
     values = [0.0]
     exact: list[Fraction | None] = [Fraction(0)]
     points = [tuple([1.0 / m] * m)]
     kkts = [0.0]
-    for k, edge in enumerate(edges, start=1):
-        multisets.append(RMultiset.from_elements(edge, m))
-        pattern = Pattern(r, m, tuple(multisets))
+    for k in range(1, len(edges) + 1):
+        pattern = simple_pattern(r, m, edges[:k])
         closed = _closed_form(r, m, edges[:k])
         if closed is None:
             res = maximize(pattern, config.opt, extra_starts=[points[-1]])

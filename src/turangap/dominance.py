@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .patterns import Pattern, RMultiset
+from .patterns import Pattern
 
 Composition = tuple[int, ...]
 
@@ -182,7 +182,7 @@ def pattern_of(a: DownSet) -> Pattern:
     ms = []
     for mult in _ordered_tuples(a.r, a.s):
         if tuple(sorted(mult, reverse=True)) in a.members:
-            ms.append(RMultiset(a.s, mult))
+            ms.append(mult)
     return Pattern(a.r, a.s, tuple(ms))
 
 
@@ -216,7 +216,7 @@ class BunchingReport:
     Averaging the top h layers of binomial terms against the same layers of
     split monomials gives a polynomial identity whose grouped coefficients
     must be <= 0 inside the layer window and >= 0 outside, with total sum
-    exactly zero; sampling certifies pointwise non-negativity.
+    exactly zero.  The sampled minimum is a spot check, not a proof.
     """
 
     r: int

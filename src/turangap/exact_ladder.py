@@ -194,7 +194,9 @@ def verify_lemma(a: DownSet, opt: OptimizerConfig | None = None) -> LemmaReport:
 
     The optimizer value must land in [u - 1e-9, u + 1e-6]; the lower side
     is unconditional because the uniform point is always among the starts.
-    For s <= 4 a grid sweep additionally certifies an upper bound >= u.
+    For s <= 4 a grid sweep adds an upper bound on the maximum, which must
+    be >= u.  The bound is coarse: it can exceed the trivial bound 1 (1.75,
+    2.52 and 2.62 at r=4 s=3), and then it shows nothing.
     """
     u = uniform_value_exact(a)
     p = pattern_of(a)

@@ -1,8 +1,9 @@
 """Multiset patterns and their Lagrange polynomials.
 
 An r-pattern is a finite collection of r-multisets over a ground set
-{1, ..., m}.  Multisets are stored as dense multiplicity vectors, the
-canonical form used throughout the package.  The associated Lagrange
+{1, ..., m}.  A multiset is a plain tuple of m multiplicities, so
+(2, 1, 0) is {1, 1, 2}; ``Pattern`` validates it, and the JSON wire format
+spells it as the sorted element list [1, 1, 2].  The associated Lagrange
 polynomial carries one monomial per multiset with an exact rational
 coefficient r!/prod(d_i!), so every exact quantity downstream (uniform
 values, density ladders) is computed with integers and Fractions and only
@@ -27,76 +28,53 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class RMultiset:
-    """An r-multiset on {1, ..., m}, stored as a multiplicity vector.
-
-    The uniformity r is implied: it is the sum of the multiplicities.
-    """
-
-    m: int
-    mult: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"ground set size must be >= 1, got {self.m}")
-        if len(self.mult) != self.m:
-            raise ValueError("multiplicity vector length must equal m")
-        if any(c < 0 for c in self.mult):
-            raise ValueError("multiplicities must be non-negative")
-        if sum(self.mult) < 2:
-            raise ValueError("multiset size must be >= 2")
-
-    @property
-    def r(self) -> int:
-        return sum(self.mult)
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[int], m: int) -> "RMultiset":
-        """Build from a 1-based element list such as [1, 1, 2]."""
-        mult = [0] * m
-        for e in elements:
-            if not 1 <= e <= m:
-                raise ValueError(f"element {e} outside ground set [1, {m}]")
-            mult[e - 1] += 1
-        return cls(m, tuple(mult))
-
-    def elements(self) -> tuple[int, ...]:
-        """Sorted 1-based element list, the inverse of from_elements."""
-        out: list[int] = []
-        for i, c in enumerate(self.mult, start=1):
-            out.extend([i] * c)
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class Pattern:
-    """A duplicate-free collection of r-multisets on a common ground set."""
+    """A duplicate-free collection of r-multisets on {1, ..., m}, each a
+    multiplicity tuple such as (2, 1, 0) for {1, 1, 2}.  The one place a
+    multiset is validated; entries are normalized to plain ints."""
 
     r: int
     m: int
-    multisets: tuple[RMultiset, ...]
+    multisets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if self.m < 1:
             raise ValueError(f"ground set size must be >= 1, got {self.m}")
+        try:
+            ms = tuple(tuple(map(operator.index, d)) for d in self.multisets)
+        except TypeError as exc:
+            raise ValueError(f"multiplicities must be integers: {exc}") from exc
         seen: set[tuple[int, ...]] = set()
-        for d in self.multisets:
-            if d.m != self.m:
-                raise ValueError("multiset ground set differs from pattern")
-            if d.r != self.r:
-                raise ValueError("multiset size differs from pattern uniformity")
-            if d.mult in seen:
-                raise ValueError(f"duplicate multiset {d.mult}")
-            seen.add(d.mult)
+        for d in ms:
+            if len(d) != self.m:
+                raise ValueError(f"multiplicity vector {d} does not have length m={self.m}")
+            if min(d) < 0:
+                raise ValueError(f"multiplicity vector {d} has a negative entry")
+            if sum(d) != self.r:
+                raise ValueError(f"multiset {d} does not have size r={self.r}")
+            if d in seen:
+                raise ValueError(f"duplicate multiset {d}")
+            seen.add(d)
+        object.__setattr__(self, "multisets", ms)
 
     @classmethod
     def from_element_lists(
         cls, r: int, m: int, element_lists: Iterable[Iterable[int]]
     ) -> "Pattern":
         """Build from 1-based element lists such as [[1, 1, 2], [1, 2, 3]]."""
-        return cls(r, m, tuple(RMultiset.from_elements(es, m) for es in element_lists))
+        return cls(r, m, tuple(_multiplicities(m, es) for es in element_lists))
+
+
+def _multiplicities(m: int, elements: Iterable[int]) -> tuple[int, ...]:
+    """Multiplicity tuple of a 1-based element list such as [1, 1, 2]."""
+    mult = [0] * m
+    for e in elements:
+        if not 1 <= e <= m:
+            raise ValueError(f"element {e} outside ground set [1, {m}]")
+        mult[e - 1] += 1
+    return tuple(mult)
 
 
 def simple_pattern(r: int, m: int, edges: Iterable[Iterable[int]]) -> Pattern:
@@ -106,7 +84,7 @@ def simple_pattern(r: int, m: int, edges: Iterable[Iterable[int]]) -> Pattern:
         edge = tuple(edge)
         if len(set(edge)) != len(edge):
             raise ValueError(f"edge {edge} repeats a vertex")
-        ms.append(RMultiset.from_elements(edge, m))
+        ms.append(_multiplicities(m, edge))
     return Pattern(r, m, tuple(ms))
 
 
@@ -119,7 +97,8 @@ def pattern_to_dict(p: Pattern) -> dict:
     return {
         "r": p.r,
         "m": p.m,
-        "multisets": [list(d.elements()) for d in p.multisets],
+        "multisets": [[i for i, c in enumerate(d, start=1) for _ in range(c)]
+                      for d in p.multisets],
     }
 
 
@@ -131,8 +110,6 @@ def pattern_from_dict(obj: Mapping) -> Pattern:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern object: {exc}") from exc
     for es in lists:
-        if len(es) != r:
-            raise ValueError(f"multiset {es} does not have length r={r}")
         if es != sorted(es):
             raise ValueError(f"multiset {es} is not sorted non-decreasing")
     return Pattern.from_element_lists(r, m, lists)
@@ -152,7 +129,8 @@ class LagrangePolynomial:
     """Homogeneous degree-r polynomial with positive exact coefficients.
 
     Monomials are (exponent vector, coefficient) pairs with exact Fraction
-    coefficients.  Read-only float tables for numeric work are built once at
+    coefficients; ``lagrange_polynomial`` builds them from a validated
+    ``Pattern``.  Read-only float tables for numeric work are built once at
     construction.  Monomial a is coefs[a] times the product of x over the
     coordinates ``factors[a]`` (coordinate i repeated e_ai times).  Gradient
     term a * r + t is that product without position t, weighted coefs[a]
@@ -170,17 +148,6 @@ class LagrangePolynomial:
     grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[tuple[int, ...]] = set()
-        for exps, coeff in self.monomials:
-            if len(exps) != self.m:
-                raise ValueError("exponent vector length must equal m")
-            if sum(exps) != self.r:
-                raise ValueError("monomial degree must equal r")
-            if coeff <= 0:
-                raise ValueError("coefficients must be positive")
-            if exps in seen:
-                raise ValueError(f"duplicate exponent vector {exps}")
-            seen.add(exps)
         n, m, r = len(self.monomials), self.m, self.r
         exps = np.array([e for e, _ in self.monomials], dtype=np.int64).reshape(n * m)
         factors = np.repeat(np.tile(np.arange(m), n), exps).reshape(n, r)
@@ -204,9 +171,9 @@ def lagrange_polynomial(p: Pattern) -> LagrangePolynomial:
     monos = []
     for d in p.multisets:
         denom = 1
-        for c in d.mult:
+        for c in d:
             denom *= factorial(c)
-        monos.append((d.mult, Fraction(rf, denom)))
+        monos.append((d, Fraction(rf, denom)))
     monos.sort(key=lambda t: t[0])
     return LagrangePolynomial(p.r, p.m, tuple(monos))
 
@@ -286,7 +253,7 @@ def blow_up(spec: BlowupSpec) -> list[tuple[int, ...]]:
     ranges = spec.part_ranges()
     edges: list[tuple[int, ...]] = []
     for d in spec.pattern.multisets:
-        pools = [combinations(ranges[i], d.mult[i]) for i in range(spec.pattern.m) if d.mult[i] > 0]
+        pools = [combinations(ranges[i], c) for i, c in enumerate(d) if c > 0]
         for pick in product(*pools):
             edge = tuple(sorted(v for grp in pick for v in grp))
             edges.append(edge)
@@ -299,7 +266,7 @@ def blowup_edge_count(spec: BlowupSpec) -> int:
     total = 0
     for d in spec.pattern.multisets:
         term = 1
-        for size, c in zip(spec.part_sizes, d.mult):
+        for size, c in zip(spec.part_sizes, d):
             term *= comb(size, c)
         total += term
     return total

@@ -6,11 +6,13 @@ profile of a vertex set checks the edge lists of `blow_up`; the widest gap
 between sorted chain values checks the cover corollary of
 `verify_gap_bound`.  Restriction of a down-set, the variable deletion behind
 the uniform-point lemma, is used only by tests that check down-closure
-survives it.  The complete pattern K_m is a test fixture.  The tuple-by-tuple
-simplex grid checks the numpy grid of `certify_max_upper`, and the Fraction
-sampling loop checks the integer-numerator minimum of `bunching_verify`.
+survives it.  The complete pattern K_m and random patterns with repeated
+elements are test fixtures.  The tuple-by-tuple simplex grid checks the
+numpy grid of `certify_max_upper`, and the Fraction sampling loop checks
+the integer-numerator minimum of `bunching_verify`.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -19,12 +21,25 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from turangap.dominance import Composition, DownSet, compositions
-from turangap.patterns import LagrangePolynomial, Pattern, RMultiset, simple_pattern
+from turangap.patterns import LagrangePolynomial, Pattern, simple_pattern
 
 
 def complete_pattern(r: int, m: int) -> Pattern:
     """All C(m, r) plain r-sets on {1, ..., m}."""
     return simple_pattern(r, m, combinations(range(1, m + 1), r))
+
+
+def random_pattern(rng: random.Random, r_max=5, m_max=6) -> Pattern:
+    """Up to six r-multisets on [m], repeated elements allowed."""
+    r = rng.randint(2, r_max)
+    m = rng.randint(2, m_max)
+    mults = set()
+    for _ in range(rng.randint(1, 6)):
+        counts = [0] * m
+        for _ in range(r):
+            counts[rng.randrange(m)] += 1
+        mults.add(tuple(counts))
+    return Pattern(r, m, tuple(sorted(mults)))
 
 
 def max_value_gap(values: Sequence[float]) -> float:
@@ -84,8 +99,9 @@ def profile(
     x_set: Iterable[int],
     partition: Sequence[int] | Mapping[int, int],
     m: int | None = None,
-) -> RMultiset:
-    """Part-intersection multiset of a vertex set under a partition.
+) -> tuple[int, ...]:
+    """Part-intersection multiset of a vertex set under a partition, as a
+    multiplicity tuple.
 
     partition maps 1-based vertex ids to 1-based part ids, either as a
     mapping or as a sequence indexed by vertex - 1.
@@ -111,7 +127,7 @@ def profile(
         if not 1 <= p <= m:
             raise ValueError(f"part id {p} outside [1, {m}]")
         mult[p - 1] += 1
-    return RMultiset(m, tuple(mult))
+    return tuple(mult)
 
 
 def insert_sorted(y: Composition, j: int) -> Composition:

@@ -36,7 +36,6 @@ from turangap import (
     verify_lemma,
 )
 from turangap.dominance import linear_extension
-from turangap.patterns import RMultiset
 from turangap.simplex import gradient
 
 from oracles import complete_pattern, enumerated_occupancy_counts, max_value_gap, restrict
@@ -212,12 +211,10 @@ def test_criterion_10_property_battery(capsys):
         universe = [
             c for c in combinations(sorted(rng.choices(range(1, m + 1), k=r * 3)), r)
         ]
-        mults = tuple(
-            RMultiset.from_elements(e, m) for e in sorted(set(universe))[: rng.randint(1, 5)]
-        )
-        if not mults:
+        edges = sorted(set(universe))[: rng.randint(1, 5)]
+        if not edges:
             continue
-        poly = lagrange_polynomial(Pattern(r, m, mults))
+        poly = lagrange_polynomial(Pattern.from_element_lists(r, m, edges))
         x = np.array([rng.uniform(0.05, 1.0) for _ in range(m)])
         x /= x.sum()
         g = gradient(poly, x)
@@ -259,7 +256,7 @@ def test_criterion_10_property_battery(capsys):
             v: p for p in range(3) for v in range(bounds[p] + 1, bounds[p + 1] + 1)
         }
         want = set()
-        allowed = {tuple(ms.mult) for ms in WORKED.multisets}
+        allowed = set(WORKED.multisets)
         for edge in combinations(range(1, n + 1), 3):
             prof = [0, 0, 0]
             for v in edge:

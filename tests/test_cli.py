@@ -328,6 +328,24 @@ def test_malformed_pattern_object_is_usage_error(tmp_path, capsys, command, extr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,extra", [("lagrangian", []),
+                                           ("blow-up", ["--sizes", "1,1,1"])])
+@pytest.mark.parametrize("multisets,why", [([[1, 1, 2], [1, 1, 2]], "duplicate multiset"),
+                                           ([[0, 1, 2]], "element 0 outside"),
+                                           ([[1, 2, 4]], "element 4 outside")],
+                         ids=["duplicate", "element-0", "element-m+1"])
+def test_invalid_pattern_is_usage_error(tmp_path, capsys, command, extra, multisets, why):
+    # well-typed but not a pattern: Pattern's own check is the message
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"r": 3, "m": 3, "multisets": multisets}))
+    out = tmp_path / "out"
+    code = dispatch([command, "--pattern", str(bad), *extra, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"turangap {command}: ") and why in err
+    assert not out.exists()
+
+
 def test_fractional_pattern_size_is_usage_error(tmp_path, capsys):
     # "r": 3.9 must not be truncated to 3
     bad = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isclose
 
+import numpy as np
 import pytest
 
 from turangap import (
@@ -19,42 +20,49 @@ from turangap import (
     simple_pattern,
 )
 from turangap.patterns import (
-    RMultiset,
     largest_remainder_sizes,
     pattern_from_dict,
     pattern_to_dict,
 )
 
-from oracles import complete_pattern, eval_uniform_exact, profile
+from oracles import complete_pattern, eval_uniform_exact, profile, random_pattern
 
 WORKED = Pattern.from_element_lists(3, 3, [[1, 1, 2], [1, 2, 3]])
 
 
-def test_rmultiset_roundtrip():
-    d = RMultiset.from_elements([1, 1, 2], 3)
-    assert d.mult == (2, 1, 0)
-    assert d.r == 3
-    assert d.elements() == (1, 1, 2)
+def test_pattern_holds_multiplicity_tuples():
+    p = Pattern.from_element_lists(3, 3, [[1, 1, 2]])
+    assert p.multisets == ((2, 1, 0),)
+    assert pattern_to_dict(p)["multisets"] == [[1, 1, 2]]
+    # entries are normalized to plain ints, so equal patterns compare equal
+    q = Pattern(3, 3, [np.array([2, 1, 0])])
+    assert q == p and type(q.multisets[0][0]) is int
 
 
-def test_rmultiset_validation():
-    with pytest.raises(ValueError):
-        RMultiset.from_elements([0, 1, 2], 3)  # elements are 1-based
-    with pytest.raises(ValueError):
-        RMultiset.from_elements([1, 4], 3)
-    with pytest.raises(ValueError):
-        RMultiset(3, (1, 0, 0))  # size 1 multiset
-    with pytest.raises(ValueError):
-        RMultiset(3, (1, 1))  # wrong vector length
+def test_pattern_rejects_invalid_multisets():
+    with pytest.raises(ValueError, match="outside ground set"):
+        Pattern.from_element_lists(3, 3, [[0, 1, 2]])  # elements are 1-based
+    with pytest.raises(ValueError, match="outside ground set"):
+        Pattern.from_element_lists(3, 3, [[1, 2, 4]])  # element > m
+    with pytest.raises(ValueError, match="length m=3"):
+        Pattern(3, 3, ((2, 1),))  # wrong vector length
+    with pytest.raises(ValueError, match="negative"):
+        Pattern(3, 3, ((4, -1, 0),))
+    with pytest.raises(ValueError, match="size r=3"):
+        Pattern(3, 3, ((1, 0, 0),))  # size 1 multiset
+    with pytest.raises(ValueError, match="integers"):
+        Pattern(3, 3, ((2.5, 0.5, 0),))  # sums to r, but not a multiset
 
 
 def test_pattern_rejects_mixed_and_duplicate():
-    with pytest.raises(ValueError):
-        Pattern(3, 3, (RMultiset(3, (2, 1, 0)), RMultiset(3, (2, 1, 0))))
-    with pytest.raises(ValueError):
-        Pattern(3, 3, (RMultiset(2, (2, 1)),))  # wrong ground set
-    with pytest.raises(ValueError):
-        Pattern(2, 3, (RMultiset(3, (2, 1, 0)),))  # wrong uniformity
+    with pytest.raises(ValueError, match="duplicate"):
+        Pattern(3, 3, ((2, 1, 0), (2, 1, 0)))
+    with pytest.raises(ValueError, match="duplicate"):
+        Pattern.from_element_lists(3, 3, [[1, 1, 2], [1, 2, 1]])
+    with pytest.raises(ValueError, match="length m=3"):
+        Pattern(3, 3, ((2, 1, 0), (2, 1)))  # wrong ground set
+    with pytest.raises(ValueError, match="size r=2"):
+        Pattern(2, 3, ((2, 1, 0),))  # wrong uniformity
 
 
 def test_worked_example_polynomial_exact():
@@ -88,9 +96,7 @@ def test_evaluate_exact_agrees_with_float():
             for _ in range(r):
                 counts[rng.randrange(m)] += 1
             mults.add(tuple(counts))
-        poly = lagrange_polynomial(
-            Pattern(r, m, tuple(RMultiset(m, c) for c in mults))
-        )
+        poly = lagrange_polynomial(Pattern(r, m, tuple(mults)))
         point = [Fraction(rng.randint(0, 10), 37) for _ in range(m)]
         exact = evaluate_exact(poly, point)
         approx = evaluate(poly, [float(v) for v in point])
@@ -127,9 +133,17 @@ def test_json_roundtrip():
         pattern_from_dict({"r": 3, "multisets": []})  # missing m
 
 
+def test_json_roundtrip_on_random_patterns():
+    rng = random.Random(8)
+    patterns = [random_pattern(rng) for _ in range(200)]
+    assert sum(max(c for d in p.multisets for c in d) > 1 for p in patterns) > 100
+    for p in patterns:
+        assert pattern_from_dict(pattern_to_dict(p)) == p
+
+
 def test_profile_worked_case():
-    assert profile((1, 2, 5), [1, 1, 1, 2, 2]).mult == (2, 1)
-    assert profile((1, 2, 5), {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}).mult == (2, 1)
+    assert profile((1, 2, 5), [1, 1, 1, 2, 2]) == (2, 1)
+    assert profile((1, 2, 5), {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}) == (2, 1)
     with pytest.raises(ValueError):
         profile((1, 2, 9), [1, 1, 1, 2, 2])
     with pytest.raises(ValueError):
@@ -152,11 +166,11 @@ def test_blow_up_count_matches_brute_force(sizes):
     partition = []
     for part, size in enumerate(sizes, start=1):
         partition.extend([part] * size)
-    want = {d.mult for d in WORKED.multisets}
+    want = set(WORKED.multisets)
     brute = [
         e
         for e in combinations(range(1, n + 1), 3)
-        if profile(e, partition, 3).mult in want
+        if profile(e, partition, 3) in want
     ]
     assert blow_up(spec) == brute  # brute enumeration is already lex sorted
     assert blowup_edge_count(spec) == len(brute)

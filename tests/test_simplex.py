@@ -23,7 +23,7 @@ from turangap import (
 )
 import turangap.simplex as sx
 from turangap.dominance import pattern_of
-from turangap.patterns import RMultiset, evaluate_batch
+from turangap.patterns import evaluate_batch
 from turangap.simplex import (
     _TOLERANCE,
     SUPPORT_EPS,
@@ -34,7 +34,7 @@ from turangap.simplex import (
     project_to_simplex,
 )
 
-from oracles import complete_pattern, grid_points_by_tuples
+from oracles import complete_pattern, grid_points_by_tuples, random_pattern
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
 
@@ -57,24 +57,12 @@ def test_projection_properties():
         assert np.allclose(project_to_simplex(x), x, atol=1e-12)
 
 
-def _random_pattern(rng: random.Random, r_max=5, m_max=6) -> Pattern:
-    r = rng.randint(2, r_max)
-    m = rng.randint(2, m_max)
-    mults = set()
-    for _ in range(rng.randint(1, 6)):
-        counts = [0] * m
-        for _ in range(r):
-            counts[rng.randrange(m)] += 1
-        mults.add(tuple(counts))
-    return Pattern(r, m, tuple(RMultiset(m, c) for c in sorted(mults)))
-
-
 def test_gradient_matches_central_differences():
     rng = random.Random(17)
     nprng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(30):
-        p = _random_pattern(rng)
+        p = random_pattern(rng)
         poly = lagrange_polynomial(p)
         x = nprng.dirichlet(np.ones(p.m))
         g = gradient(poly, x)
@@ -141,7 +129,7 @@ def test_maximize_deterministic_and_seed_sensitive():
 def test_maximize_reports_value_at_point():
     rng = random.Random(23)
     for _ in range(10):
-        p = _random_pattern(rng, r_max=4, m_max=5)
+        p = random_pattern(rng, r_max=4, m_max=5)
         res = maximize(p, OptimizerConfig(starts=8))
         poly = lagrange_polynomial(p)
         assert res.value == pytest.approx(evaluate(poly, res.point), abs=1e-12)
@@ -181,7 +169,7 @@ def test_certify_max_upper_bounds_known_maxima():
     # grid bound caps the optimizer value for random small patterns
     rng = random.Random(5)
     for _ in range(8):
-        p = _random_pattern(rng, r_max=3, m_max=4)
+        p = random_pattern(rng, r_max=3, m_max=4)
         res = maximize(p, OptimizerConfig(starts=10))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -279,7 +267,7 @@ def test_batched_gradient_matches_vector_and_exact_derivative():
     rng = random.Random(41)
     nprng = np.random.default_rng(41)
     for _ in range(40):
-        p = _random_pattern(rng)
+        p = random_pattern(rng)
         poly = lagrange_polynomial(p)
         xs = np.vstack([nprng.dirichlet(np.ones(p.m), 5), _dyadic_points(nprng, p.m, 5)])
         g = gradient(poly, xs)
@@ -309,7 +297,7 @@ def test_batched_evaluate_matches_evaluate_batch():
     rng = random.Random(43)
     nprng = np.random.default_rng(43)
     for _ in range(30):
-        p = _random_pattern(rng)
+        p = random_pattern(rng)
         poly = lagrange_polynomial(p)
         xs = nprng.dirichlet(np.ones(p.m), 7)
         vals = evaluate(poly, xs)
@@ -373,7 +361,7 @@ def _oracle_cases():
     per start), a warm-started chain rung, and the symmetric K_5 pattern,
     whose starts all climb to the same maximum 4/5."""
     rng = random.Random(47)
-    cases = [(_random_pattern(rng, r_max=4, m_max=6), OptimizerConfig(starts=12, seed=s), ())
+    cases = [(random_pattern(rng, r_max=4, m_max=6), OptimizerConfig(starts=12, seed=s), ())
              for s in range(10)]
     cases.append((Pattern(3, 4, ()), OptimizerConfig(starts=6), ()))
     cases.append((DEGENERATE, OptimizerConfig(starts=6, seed=1), ()))
