@@ -18,7 +18,6 @@ uniform value through the pattern polynomial's coefficient sum.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log
@@ -31,6 +30,7 @@ from .simplex import OptResult, OptimizerConfig, certify_max_upper, maximize
 
 _MC_BLOCK = 1 << 12  # Monte Carlo rows drawn and tallied at a time
 _MC_ALPHA = 1e-6  # false-alarm rate of one mc_verdict, over all its shapes
+_MC_MAX_R = 35  # largest r whose Monte Carlo shape keys fit in int64
 
 
 def uniform_value_exact(a: DownSet) -> Fraction:
@@ -125,28 +125,44 @@ def monte_carlo_urns(
     """Empirical frequencies of sorted occupancy vectors, seeded.
 
     Every composition of r into r parts appears as a key, unseen ones with
-    frequency 0.  Identical seeds give identical output.  Raises
-    ValueError for trials < 1 or r < 1 before anything is drawn.  Trials
-    are drawn and tallied in blocks of _MC_BLOCK rows, so memory is
-    O(_MC_BLOCK * r) whatever the trial count; the blocks consume the
-    random stream exactly as one draw of all the trials would.
+    frequency 0, in linear_extension order.  Identical seeds give identical
+    output.  Raises ValueError for trials < 1 or for r outside 1..35
+    (_MC_MAX_R) before anything is drawn.  Trials are drawn and tallied in
+    blocks of _MC_BLOCK rows, so memory is O(_MC_BLOCK * r) whatever the
+    trial count; the blocks consume the random stream exactly as one draw
+    of all the trials would.
+
+    A throw's shape is fixed by its histogram h, where h[k] urns hold k
+    balls, and h[k] <= r // k; so the mixed-radix key sum_k h[k] * w[k],
+    with w[1] = 1 and w[k+1] = w[k] * (r // k + 1), is injective on the
+    shapes and needs no sort.  Its largest value, w[r+1] - 1, fits in
+    int64 up to r = 35.  Each block's keys are matched to the shapes'
+    keys and added into one exact integer count per shape.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if r > _MC_MAX_R:
+        raise ValueError(f"r must be <= {_MC_MAX_R} for Monte Carlo, got {r}")
     order = linear_extension(r)
+    w = [0, 1]  # w[0] = 0: empty urns add nothing to the key
+    for k in range(1, r):
+        w.append(w[-1] * (r // k + 1))
+    weights = np.array(w, dtype=np.int64)
+    shape_keys = np.array([sum(w[v] for v in comp) for comp in order], dtype=np.int64)
+    rank = np.argsort(shape_keys)
+    sorted_keys = shape_keys[rank]
+    counts = np.zeros(len(order), dtype=np.int64)  # indexed like sorted_keys
     rng = np.random.default_rng(seed)
-    tally: Counter[bytes] = Counter()
     for start in range(0, trials, _MC_BLOCK):
         n = min(_MC_BLOCK, trials - start)
         throws = rng.integers(0, r, size=(n, r))
         flat = (throws + np.arange(0, n * r, r)[:, None]).ravel()
         occ = np.bincount(flat, minlength=n * r).reshape(n, r)
-        occ = -np.sort(-occ, axis=1)
-        # each row as one r-byte void scalar, which tolist() turns into bytes;
-        # one byte per urn holds every count up to r = 255, far beyond any r
-        # whose linear_extension can be listed
-        tally.update(occ.astype(np.uint8).view(f"V{r}").ravel().tolist())
-    return {comp: tally[bytes(comp)] / trials for comp in order}
+        keys = weights[occ].sum(axis=1)
+        counts += np.bincount(np.searchsorted(sorted_keys, keys), minlength=len(order))
+    tally = np.empty_like(counts)
+    tally[rank] = counts
+    return {comp: c / trials for comp, c in zip(order, tally.tolist())}
 
 
 def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict:
@@ -156,7 +172,14 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
     gives P(n*KL(F||p) >= t) <= 2*exp(-t) over both tails, so a union bound
     over the shapes makes a correct sampler exceed log(2K/alpha) with
     probability at most _MC_ALPHA.  Each shape's n*KL score is kept.
+    Raises ValueError unless trials >= 1 and the keys of freq are exactly
+    the K = len(linear_extension(r)) shapes: a table missing shapes would
+    shrink K and with it the limit.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if freq.keys() != set(linear_extension(r)):
+        raise ValueError(f"frequency table keys are not the compositions of r={r}")
 
     def kl(f: float, p: float) -> float:  # Bernoulli relative entropy, 0 log 0 = 0
         return sum(a * log(a / b) for a, b in ((f, p), (1 - f, 1 - p)) if a > 0)

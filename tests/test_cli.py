@@ -107,6 +107,7 @@ def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys):
     "argv",
     [
         ["ladder", "--r", "3", "--mc-trials", "-1"],
+        ["ladder", "--r", "36", "--mc-trials", "10"],
         ["chain", "--r", "3"],
         ["bunching", "--r", "4", "--h", "wat"],
         ["bunching", "--r", "4", "--h", "1/0"],

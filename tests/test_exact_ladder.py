@@ -184,15 +184,16 @@ def test_monte_carlo_deterministic_and_complete():
 
 @pytest.mark.parametrize(
     "r,trials,seed",
-    [(3, 2000, 7), (8, 20000, 1), (17, 3000, 2),
+    [(3, 2000, 7), (8, 20000, 1), (17, 3000, 2), (35, 300, 0),
      # trial counts at the edges of the blocks monte_carlo_urns draws in
      (3, _MC_BLOCK - 1, 0), (3, _MC_BLOCK, 0), (3, _MC_BLOCK + 1, 0),
      (8, 2 * _MC_BLOCK + 1, 4)],
 )
 def test_monte_carlo_tally_matches_plain_oracle(r, trials, seed):
-    # r = 17 is past the int64 range of a base-(r+1) key (18^17 > 2^63),
-    # where a key-and-bincount tally cannot run; the oracle draws all trials
-    # in one call, so equality also pins the random stream across blocks
+    # r = 35 is the largest r whose histogram keys fit in int64, where a
+    # key collision would merge two shapes; the oracle sorts each row and
+    # draws all trials in one call, so equality also pins the random stream
+    # across blocks
     freq = monte_carlo_urns(r, trials, seed)
     assert list(freq) == list(linear_extension(r))
     assert freq == _plain_monte_carlo(r, trials, seed)
@@ -216,6 +217,15 @@ def test_monte_carlo_validation():
     for r in (0, -1):
         with pytest.raises(ValueError, match="r must be >= 1"):
             monte_carlo_urns(r, trials=10)
+
+
+def test_monte_carlo_rejects_r_past_the_int64_key_range(monkeypatch):
+    def no_enumeration(r):
+        raise AssertionError("shapes listed before r was checked")
+
+    monkeypatch.setattr("turangap.exact_ladder.linear_extension", no_enumeration)
+    with pytest.raises(ValueError, match="r must be <= 35"):
+        monte_carlo_urns(36, 10)
 
 
 def test_monte_carlo_single_trial():
@@ -244,6 +254,25 @@ def test_verdict_accepts_a_rare_shape_the_4_sigma_rule_rejected():
     assert verdict.limit == log(2 * 22 / 1e-6)
     exact = {c: _square_probability(c) for c in freq}
     assert mc_verdict(exact, 10**6, 8).worst < 1e-9
+
+
+def test_verdict_rejects_a_table_missing_shapes():
+    # 5 of the 11 shapes would shrink K, and with it the limit
+    freq = monte_carlo_urns(6, 10_000, 0)
+    partial = dict(list(freq.items())[:5])
+    with pytest.raises(ValueError, match="not the compositions of r=6"):
+        mc_verdict(partial, 10_000, 6)
+    with pytest.raises(ValueError, match="not the compositions of r=6"):
+        mc_verdict(freq | {(7, 0, 0, 0, 0, 0): 0.0}, 10_000, 6)
+    with pytest.raises(ValueError, match="not the compositions of r=5"):
+        mc_verdict(freq, 10_000, 5)
+
+
+def test_verdict_rejects_zero_trials():
+    freq = monte_carlo_urns(3, 100, 0)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_verdict(freq, trials, 3)
 
 
 def test_verdict_rejects_an_urn_biased_sampler():
