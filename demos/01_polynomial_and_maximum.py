@@ -14,22 +14,20 @@ from turangap import (
     certificate,
     evaluate,
     evaluate_exact,
-    lagrange_polynomial,
     maximize,
 )
 
 # a 3-uniform pattern on 3 vertices: one multiset repeats vertex 1
 pattern = Pattern.from_element_lists(3, 3, [(1, 1, 2), (1, 2, 3)])
-poly = lagrange_polynomial(pattern)
 
 print("monomials (exponents -> coefficient):")
-for exps, coeff in poly.monomials:
+for exps, coeff in pattern.monomials:
     print(f"  {exps} -> {coeff}")
 
 # exact and floating evaluation agree
 x = np.array([0.5, 0.5, 0.0])
-print(f"\nvalue at (1/2, 1/2, 0): {evaluate(poly, x)}")
-print(f"same point, exact arithmetic: {evaluate_exact(poly, (0.5, 0.5, 0.0))}")
+print(f"\nvalue at (1/2, 1/2, 0): {evaluate(pattern, x)}")
+print(f"same point, exact arithmetic: {evaluate_exact(pattern, (0.5, 0.5, 0.0))}")
 
 # multi-start projected gradient ascent with a KKT certificate
 res = maximize(pattern, OptimizerConfig(starts=24, seed=0))

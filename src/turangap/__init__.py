@@ -14,7 +14,6 @@ from .patterns import (
     blowup_edge_count,
     evaluate,
     evaluate_exact,
-    lagrange_polynomial,
     simple_pattern,
 )
 from .simplex import OptimizerConfig, certificate, maximize
@@ -61,7 +60,6 @@ __all__ = [
     "evaluate_exact",
     "iter_down_sets",
     "ladder",
-    "lagrange_polynomial",
     "max_step",
     "maximize",
     "mc_verdict",

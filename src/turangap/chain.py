@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
-from .patterns import lagrange_polynomial, simple_pattern
+from .patterns import simple_pattern
 from .simplex import OptimizerConfig, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
@@ -149,7 +149,7 @@ def build_chain_ladder(config: ChainConfig) -> ChainLadder:
             value, point, kkt = res.value, tuple(res.point.tolist()), res.kkt_residual
         else:
             value, point = float(closed[0]), closed[1]
-            kkt = kkt_residual(lagrange_polynomial(pattern), point)
+            kkt = kkt_residual(pattern, point)
         values.append(value)
         exact.append(None if closed is None else closed[0])
         points.append(point)

@@ -3,11 +3,13 @@
 An r-pattern is a finite collection of r-multisets over a ground set
 {1, ..., m}.  A multiset is a plain tuple of m multiplicities, so
 (2, 1, 0) is {1, 1, 2}; ``Pattern`` validates it, and the JSON wire format
-spells it as the sorted element list [1, 1, 2].  The associated Lagrange
-polynomial carries one monomial per multiset with an exact rational
-coefficient r!/prod(d_i!), so every exact quantity downstream (uniform
-values, density ladders) is computed with integers and Fractions and only
-converted to float at evaluation time.
+spells it as the sorted element list [1, 1, 2].  A ``Pattern`` also
+carries its Lagrange polynomial, one monomial per multiset with the exact
+coefficient r!/prod(d_i!) (``Pattern.monomials``), and the float tables
+that ``evaluate`` and the simplex gradient read, built once when the
+pattern is.  Every exact quantity downstream (uniform values, density
+ladders) is computed with integers and Fractions; only evaluation goes
+through floats.
 
 Two second routes live in tests/oracles.py rather than here: the uniform
 value through the coefficient sum, and the part-intersection profile of a
@@ -21,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,34 +32,76 @@ import numpy as np
 @dataclass(frozen=True)
 class Pattern:
     """A duplicate-free collection of r-multisets on {1, ..., m}, each a
-    multiplicity tuple such as (2, 1, 0) for {1, 1, 2}.  The one place a
-    multiset is validated; entries are normalized to plain ints."""
+    multiplicity tuple such as (2, 1, 0) for {1, 1, 2}, together with its
+    Lagrange polynomial.  The one place a multiset is validated; r, m and
+    the entries are normalized to plain ints.
+
+    Read-only float tables for numeric work are built once, after
+    validation, over the multisets in sorted order (the order of
+    ``monomials``).  Monomial a is coefs[a] times the product of x over the
+    coordinates ``factors[a]`` (coordinate i repeated d_ai times).  Gradient
+    term a * r + t is that product without position t, weighted coefs[a]
+    into column factors[a, t] of ``grad_weights``; the d_ai copies of i sum
+    to the partial derivative, and at x_i = 0 only monomials linear in x_i
+    keep a nonzero term in column i.
+    """
 
     r: int
     m: int
     multisets: tuple[tuple[int, ...], ...]
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
+    coefs: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"uniformity must be >= 2, got {self.r}")
-        if self.m < 1:
-            raise ValueError(f"ground set size must be >= 1, got {self.m}")
         try:
+            r, m = operator.index(self.r), operator.index(self.m)
             ms = tuple(tuple(map(operator.index, d)) for d in self.multisets)
         except TypeError as exc:
-            raise ValueError(f"multiplicities must be integers: {exc}") from exc
+            raise ValueError(f"r, m and multiplicities must be integers: {exc}") from exc
+        if r < 2:
+            raise ValueError(f"uniformity must be >= 2, got {r}")
+        if m < 1:
+            raise ValueError(f"ground set size must be >= 1, got {m}")
         seen: set[tuple[int, ...]] = set()
         for d in ms:
-            if len(d) != self.m:
-                raise ValueError(f"multiplicity vector {d} does not have length m={self.m}")
+            if len(d) != m:
+                raise ValueError(f"multiplicity vector {d} does not have length m={m}")
             if min(d) < 0:
                 raise ValueError(f"multiplicity vector {d} has a negative entry")
-            if sum(d) != self.r:
-                raise ValueError(f"multiset {d} does not have size r={self.r}")
+            if sum(d) != r:
+                raise ValueError(f"multiset {d} does not have size r={r}")
             if d in seen:
                 raise ValueError(f"duplicate multiset {d}")
             seen.add(d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "multisets", ms)
+        monos = self.monomials
+        n = len(monos)
+        exps = np.array([d for d, _ in monos], dtype=np.int64).reshape(n * m)
+        factors = np.repeat(np.tile(np.arange(m), n), exps).reshape(n, r)
+        coefs = np.array([float(c) for _, c in monos])
+        drop = np.array([[j for j in range(r) if j != k] for k in range(r)])
+        grad_weights = np.zeros((n * r, m))
+        grad_weights[np.arange(n * r), factors.ravel()] = np.repeat(coefs, r)
+        for name, arr in (("factors", factors), ("coefs", coefs),
+                          ("grad_factors", factors[:, drop].reshape(n * r, r - 1)),
+                          ("grad_weights", grad_weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def monomials(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """One (multiplicity tuple, r!/prod(d_i!)) pair per multiset, sorted
+        by the tuple; the coefficients are exact."""
+        rf = factorial(self.r)
+        return tuple((d, Fraction(rf, prod(map(factorial, d))))
+                     for d in sorted(self.multisets))
+
+    def coefficient_sum(self) -> Fraction:
+        return sum((c for _, c in self.monomials), Fraction(0))
 
     @classmethod
     def from_element_lists(
@@ -121,90 +165,36 @@ def load_pattern(path: str) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# Lagrange polynomial
+# Evaluation
 
 
-@dataclass(frozen=True)
-class LagrangePolynomial:
-    """Homogeneous degree-r polynomial with positive exact coefficients.
-
-    Monomials are (exponent vector, coefficient) pairs with exact Fraction
-    coefficients; ``lagrange_polynomial`` builds them from a validated
-    ``Pattern``.  Read-only float tables for numeric work are built once at
-    construction.  Monomial a is coefs[a] times the product of x over the
-    coordinates ``factors[a]`` (coordinate i repeated e_ai times).  Gradient
-    term a * r + t is that product without position t, weighted coefs[a]
-    into column factors[a, t] of ``grad_weights``; the e_ai copies of i sum
-    to the partial derivative, and at x_i = 0 only monomials linear in x_i
-    keep a nonzero term in column i.
-    """
-
-    r: int
-    m: int
-    monomials: tuple[tuple[tuple[int, ...], Fraction], ...]
-    factors: np.ndarray = field(init=False, repr=False, compare=False)
-    coefs: np.ndarray = field(init=False, repr=False, compare=False)
-    grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
-    grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n, m, r = len(self.monomials), self.m, self.r
-        exps = np.array([e for e, _ in self.monomials], dtype=np.int64).reshape(n * m)
-        factors = np.repeat(np.tile(np.arange(m), n), exps).reshape(n, r)
-        coefs = np.array([float(c) for _, c in self.monomials])
-        drop = np.array([[j for j in range(r) if j != k] for k in range(r)])
-        grad_weights = np.zeros((n * r, m))
-        grad_weights[np.arange(n * r), factors.ravel()] = np.repeat(coefs, r)
-        for name, arr in (("factors", factors), ("coefs", coefs),
-                          ("grad_factors", factors[:, drop].reshape(n * r, r - 1)),
-                          ("grad_weights", grad_weights)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def coefficient_sum(self) -> Fraction:
-        return sum((c for _, c in self.monomials), Fraction(0))
-
-
-def lagrange_polynomial(p: Pattern) -> LagrangePolynomial:
-    """One monomial per multiset, coefficient r!/prod(d_i!), exact."""
-    rf = factorial(p.r)
-    monos = []
-    for d in p.multisets:
-        denom = 1
-        for c in d:
-            denom *= factorial(c)
-        monos.append((d, Fraction(rf, denom)))
-    monos.sort(key=lambda t: t[0])
-    return LagrangePolynomial(p.r, p.m, tuple(monos))
-
-
-def evaluate(poly: LagrangePolynomial, x: Sequence[float]) -> float | np.ndarray:
-    """Numeric value at x of shape (m,), or the values at each row of a (k, m) batch."""
+def evaluate(p: Pattern, x: Sequence[float]) -> float | np.ndarray:
+    """The pattern's value at x of shape (m,), or at each row of a (k, m) batch."""
     xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim not in (1, 2) or xv.shape[-1] != poly.m:
-        raise ValueError(f"point has shape {xv.shape}, expected ({poly.m},) or (k, {poly.m})")
-    values = _values(poly, xv)
+    if xv.ndim not in (1, 2) or xv.shape[-1] != p.m:
+        raise ValueError(f"point has shape {xv.shape}, expected ({p.m},) or (k, {p.m})")
+    values = _values(p, xv)
     return float(values) if xv.ndim == 1 else values
 
 
-def evaluate_batch(poly: LagrangePolynomial, xs: np.ndarray) -> np.ndarray:
-    """Numeric values at each row of xs, shape (k, m)."""
+def evaluate_batch(p: Pattern, xs: np.ndarray) -> np.ndarray:
+    """The pattern's values at each row of xs, shape (k, m)."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != poly.m:
-        raise ValueError(f"batch has shape {xs.shape}, expected (k, {poly.m})")
-    return _values(poly, xs)
+    if xs.ndim != 2 or xs.shape[1] != p.m:
+        raise ValueError(f"batch has shape {xs.shape}, expected (k, {p.m})")
+    return _values(p, xs)
 
 
-def _values(poly: LagrangePolynomial, xv: np.ndarray) -> np.ndarray:
-    return xv[..., poly.factors].prod(axis=-1) @ poly.coefs
+def _values(p: Pattern, xv: np.ndarray) -> np.ndarray:
+    return xv[..., p.factors].prod(axis=-1) @ p.coefs
 
 
-def evaluate_exact(poly: LagrangePolynomial, x: Sequence[Fraction]) -> Fraction:
-    """Exact value at a rational point."""
-    if len(x) != poly.m:
-        raise ValueError(f"point has length {len(x)}, expected {poly.m}")
+def evaluate_exact(p: Pattern, x: Sequence[Fraction]) -> Fraction:
+    """The pattern's exact value at a rational point."""
+    if len(x) != p.m:
+        raise ValueError(f"point has length {len(x)}, expected {p.m}")
     total = Fraction(0)
-    for exps, coeff in poly.monomials:
+    for exps, coeff in p.monomials:
         term = coeff
         for xi, e in zip(x, exps):
             if e:
@@ -314,7 +304,6 @@ def blowup_density_check(
         raise ValueError("fractions must be non-negative")
     if abs(sum(float(f) for f in part_fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
-    poly = lagrange_polynomial(p)
     rows = []
     for n in n_values:
         if n < p.r:
@@ -322,6 +311,6 @@ def blowup_density_check(
         sizes = largest_remainder_sizes(n, part_fractions)
         count = blowup_edge_count(BlowupSpec(p, sizes))
         density = Fraction(count, comb(n, p.r))
-        value = evaluate_exact(poly, [Fraction(s, n) for s in sizes])
+        value = evaluate_exact(p, [Fraction(s, n) for s in sizes])
         rows.append(DensityRow(n, sizes, count, density, value, abs(density - value)))
     return rows

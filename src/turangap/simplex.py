@@ -14,14 +14,7 @@ import warnings
 
 import numpy as np
 
-from .patterns import (
-    LagrangePolynomial,
-    Pattern,
-    evaluate,
-    evaluate_batch,
-    lagrange_polynomial,
-    pattern_to_dict,
-)
+from .patterns import Pattern, evaluate, evaluate_batch, pattern_to_dict
 
 SUPPORT_EPS = 1e-14
 _TOLERANCE = 1e-12  # a start whose accepted move is shorter than this stops
@@ -43,28 +36,28 @@ def project_to_simplex(v: Sequence[float]) -> np.ndarray:
     return np.maximum(vv - tau.reshape(vv.shape[:-1] + (1,)), 0.0)
 
 
-def gradient(poly: LagrangePolynomial, x: Sequence[float]) -> np.ndarray:
-    """Gradient at x of shape (m,), or at each row of a (k, m) batch.
+def gradient(p: Pattern, x: Sequence[float]) -> np.ndarray:
+    """The pattern's gradient at x of shape (m,), or at each row of a (k, m) batch.
 
-    Uses the polynomial's derivative table, so a zero coordinate x_i needs
+    Uses the pattern's derivative table, so a zero coordinate x_i needs
     no special case: only monomials linear in x_i contribute to column i.
     """
     xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim not in (1, 2) or xv.shape[-1] != poly.m:
-        raise ValueError(f"point has shape {xv.shape}, expected ({poly.m},) or (k, {poly.m})")
-    return xv[..., poly.grad_factors].prod(axis=-1) @ poly.grad_weights
+    if xv.ndim not in (1, 2) or xv.shape[-1] != p.m:
+        raise ValueError(f"point has shape {xv.shape}, expected ({p.m},) or (k, {p.m})")
+    return xv[..., p.grad_factors].prod(axis=-1) @ p.grad_weights
 
 
-def kkt_residual(poly: LagrangePolynomial, x: Sequence[float]) -> float:
-    """First-order stationarity residual at a simplex point.
+def kkt_residual(p: Pattern, x: Sequence[float]) -> float:
+    """First-order stationarity residual of the pattern at a simplex point.
 
     By homogeneity the common on-support partial value is r * lambda(x); the
     residual adds the worst on-support deviation from it and the worst
     off-support overshoot above it.
     """
     xv = np.asarray(x, dtype=np.float64)
-    g = gradient(poly, xv)
-    target = poly.r * evaluate(poly, xv)
+    g = gradient(p, xv)
+    target = p.r * evaluate(p, xv)
     supp = xv > 0.0
     on = float(np.max(np.abs(g[supp] - target))) if supp.any() else 0.0
     off = float(np.max(np.maximum(g[~supp] - target, 0.0))) if (~supp).any() else 0.0
@@ -141,17 +134,16 @@ def maximize(
     re-projected inside that support face.
     """
     config = config or OptimizerConfig()
-    poly = lagrange_polynomial(p)
     starts, kinds = _start_points(p.m, config, extra_starts)
     x = project_to_simplex(starts)
-    f = evaluate(poly, x)
+    f = evaluate(p, x)
     eta = np.ones(len(x))
     iterations = np.zeros(len(x), dtype=np.int64)
     live = np.arange(len(x))  # rows still ascending
     for _ in range(config.max_iterations):
         if not live.size:
             break
-        g = gradient(poly, x[live])
+        g = gradient(p, x[live])
         iterations[live] += 1
         go_on = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)  # positions in live still backtracking
@@ -168,7 +160,7 @@ def maximize(
             y = project_to_simplex(cand).reshape(len(rows), tries, p.m)
             step = y - xr
             moved = np.abs(step).max(axis=2)
-            fy = evaluate(poly, y.reshape(-1, p.m)).reshape(moved.shape)
+            fy = evaluate(p, y.reshape(-1, p.m)).reshape(moved.shape)
             # Armijo condition on the projection arc; the inner product is
             # positive whenever the projected step moves
             armijo = fy - f[rows, None] >= 1e-4 * (step * g[trying, None, :]).sum(axis=2)
@@ -189,12 +181,12 @@ def maximize(
     # smear the removed mass back onto the zeroed coordinates: entered as -1,
     # below the threshold tau (about 0), they stay 0 and drop out of tau
     x = project_to_simplex(np.where(x > 0.0, x, -1.0))
-    f = evaluate(poly, x)
+    f = evaluate(p, x)
     best = int(np.argmax(f))  # argmax takes the first, lowest-index maximum
     return OptResult(
         value=float(f[best]),
         point=x[best],
-        kkt_residual=kkt_residual(poly, x[best]),
+        kkt_residual=kkt_residual(p, x[best]),
         starts_used=len(x),
         seed=config.seed,
         start_index=best,
@@ -252,11 +244,10 @@ def certify_max_upper(p: Pattern, resolution: int) -> float:
         raise ValueError(f"grid certification supports m <= 6, got m={p.m}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    poly = lagrange_polynomial(p)
     grid_max = 0.0
     for xs in _grid_points(resolution, p.m):
-        grid_max = max(grid_max, float(evaluate_batch(poly, xs).max()))
-    lip = poly.r * float(poly.coefficient_sum())
+        grid_max = max(grid_max, float(evaluate_batch(p, xs).max()))
+    lip = p.r * float(p.coefficient_sum())
     bound = grid_max + lip / resolution
     if bound > 1.25:
         # every Lagrange polynomial is at most (sum x_i)^r = 1 on the simplex

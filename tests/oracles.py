@@ -1,15 +1,16 @@
 """Second routes kept as oracles for the library's one route per quantity.
 
 The enumerations check the occupancy closed form; the uniform value through
-the coefficient sum checks `uniform_value_exact`; the part-intersection
-profile of a vertex set checks the edge lists of `blow_up`; the widest gap
-between sorted chain values checks the cover corollary of
-`verify_gap_bound`.  Restriction of a down-set, the variable deletion behind
-the uniform-point lemma, is used only by tests that check down-closure
-survives it.  The complete pattern K_m and random patterns with repeated
-elements are test fixtures.  The tuple-by-tuple simplex grid checks the
-numpy grid of `certify_max_upper`, and the Fraction sampling loop checks
-the integer-numerator minimum of `bunching_verify`.
+a pattern's coefficient sum (`Pattern.coefficient_sum`) checks
+`uniform_value_exact`; the part-intersection profile of a vertex set checks
+the edge lists of `blow_up`; the widest gap between sorted chain values
+checks the cover corollary of `verify_gap_bound`.  Restriction of a
+down-set, the variable deletion behind the uniform-point lemma, is used only
+by tests that check down-closure survives it.  The complete pattern K_m and
+random patterns with repeated elements are test fixtures.  The
+tuple-by-tuple simplex grid checks the numpy grid of `certify_max_upper`,
+and the Fraction sampling loop checks the integer-numerator minimum of
+`bunching_verify`.
 """
 
 import random
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from turangap.dominance import Composition, DownSet, compositions
-from turangap.patterns import LagrangePolynomial, Pattern, simple_pattern
+from turangap.patterns import Pattern, simple_pattern
 
 
 def complete_pattern(r: int, m: int) -> Pattern:
@@ -82,17 +83,17 @@ def enumerated_occupancy_counts(r: int, s: int) -> dict:
     return buckets
 
 
-def eval_uniform_exact(poly: LagrangePolynomial, s: int) -> Fraction:
-    """Exact value at the uniform point (1/s, ..., 1/s) with s >= m parts.
+def eval_uniform_exact(p: Pattern, s: int) -> Fraction:
+    """The pattern's exact value at the uniform point (1/s, ..., 1/s), s >= m.
 
     Every monomial has total degree r, so the value is the coefficient sum
     divided by s**r.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    if poly.m > s:
-        raise ValueError(f"polynomial has {poly.m} variables, more than s={s}")
-    return poly.coefficient_sum() / Fraction(s**poly.r)
+    if p.m > s:
+        raise ValueError(f"pattern has {p.m} variables, more than s={s}")
+    return p.coefficient_sum() / Fraction(s**p.r)
 
 
 def profile(

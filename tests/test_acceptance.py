@@ -25,7 +25,6 @@ from turangap import (
     evaluate,
     iter_down_sets,
     ladder,
-    lagrange_polynomial,
     maximize,
     minimal_m,
     mc_verdict,
@@ -52,12 +51,11 @@ def _report(capsys, label: str, failures: list) -> None:
 
 def test_criterion_01_worked_pattern_polynomial(capsys):
     failures = []
-    poly = lagrange_polynomial(WORKED)
-    got = {exps: coeff for exps, coeff in poly.monomials}
+    got = dict(WORKED.monomials)
     want = {(2, 1, 0): Fraction(3), (1, 1, 1): Fraction(6)}
     if got != want:
         failures.append(f"monomials {got} != {want}")
-    if evaluate(poly, np.array([0.5, 0.5, 0.0])) != 0.375:
+    if evaluate(WORKED, np.array([0.5, 0.5, 0.0])) != 0.375:
         failures.append("evaluation at (1/2, 1/2, 0) is not exactly 0.375")
     _report(capsys, "01 worked pattern: 3 x1^2 x2 + 6 x1 x2 x3, value 3/8 at (1/2,1/2,0)", failures)
 
@@ -214,25 +212,24 @@ def test_criterion_10_property_battery(capsys):
         edges = sorted(set(universe))[: rng.randint(1, 5)]
         if not edges:
             continue
-        poly = lagrange_polynomial(Pattern.from_element_lists(r, m, edges))
+        p = Pattern.from_element_lists(r, m, edges)
         x = np.array([rng.uniform(0.05, 1.0) for _ in range(m)])
         x /= x.sum()
-        g = gradient(poly, x)
+        g = gradient(p, x)
         h = 1e-6
         for i in range(m):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (evaluate(poly, xp) - evaluate(poly, xm)) / (2 * h)
+            fd = (evaluate(p, xp) - evaluate(p, xm)) / (2 * h)
             if abs(g[i] - fd) > 1e-5 * max(1.0, abs(fd)):
                 failures.append(f"gradient trial {trial} coord {i}: {g[i]} vs {fd}")
 
     # degree-r homogeneity of the polynomial
-    poly = lagrange_polynomial(WORKED)
     for _ in range(50):
         x = np.array([rng.uniform(0.0, 2.0) for _ in range(3)])
         t = rng.uniform(0.1, 2.0)
-        lhs, rhs = evaluate(poly, t * x), t**3 * evaluate(poly, x)
+        lhs, rhs = evaluate(WORKED, t * x), t**3 * evaluate(WORKED, x)
         if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
             failures.append(f"homogeneity off at t={t}")
 

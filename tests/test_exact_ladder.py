@@ -11,7 +11,6 @@ import pytest
 from turangap import (
     DownSet,
     ladder,
-    lagrange_polynomial,
     max_step,
     mc_verdict,
     monte_carlo_urns,
@@ -27,7 +26,7 @@ from oracles import brute_occupancy_counts, enumerated_occupancy_counts, eval_un
 
 def uniform_value_via_polynomial(a: DownSet) -> Fraction:
     """Second route to the uniform value, through the pattern polynomial."""
-    return eval_uniform_exact(lagrange_polynomial(pattern_of(a)), a.s)
+    return eval_uniform_exact(pattern_of(a), a.s)
 
 
 def _plain_monte_carlo(r: int, trials: int, seed: int) -> dict:

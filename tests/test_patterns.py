@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isclose
+from math import comb, factorial, isclose, prod
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from turangap import (
     blowup_edge_count,
     evaluate,
     evaluate_exact,
-    lagrange_polynomial,
     simple_pattern,
 )
 from turangap.patterns import (
@@ -24,6 +23,7 @@ from turangap.patterns import (
     pattern_from_dict,
     pattern_to_dict,
 )
+from turangap.simplex import gradient
 
 from oracles import complete_pattern, eval_uniform_exact, profile, random_pattern
 
@@ -52,6 +52,10 @@ def test_pattern_rejects_invalid_multisets():
         Pattern(3, 3, ((1, 0, 0),))  # size 1 multiset
     with pytest.raises(ValueError, match="integers"):
         Pattern(3, 3, ((2.5, 0.5, 0),))  # sums to r, but not a multiset
+    with pytest.raises(ValueError, match="integers"):
+        Pattern(2, 2.5, ())  # non-integer ground set size
+    with pytest.raises(ValueError, match="integers"):
+        Pattern(2.0, 3, ((1, 1, 0),))  # non-integer uniformity
 
 
 def test_pattern_rejects_mixed_and_duplicate():
@@ -66,23 +70,54 @@ def test_pattern_rejects_mixed_and_duplicate():
 
 
 def test_worked_example_polynomial_exact():
-    poly = lagrange_polynomial(WORKED)
-    assert dict(poly.monomials) == {
+    assert dict(WORKED.monomials) == {
         (2, 1, 0): Fraction(3),
         (1, 1, 1): Fraction(6),
     }
 
 
+def test_tables_follow_sorted_monomials_whatever_the_multiset_order():
+    # the float tables are built over the sorted multisets, so the order a
+    # pattern was built in never changes a float sum; multisets keep theirs
+    rng = random.Random(5)
+    nprng = np.random.default_rng(5)
+    for _ in range(20):
+        p = random_pattern(rng, r_max=4, m_max=5)
+        shuffled = list(p.multisets)
+        rng.shuffle(shuffled)
+        q = Pattern(p.r, p.m, tuple(shuffled))
+        assert q.multisets == tuple(shuffled)
+        for name in ("factors", "coefs", "grad_factors", "grad_weights"):
+            assert np.array_equal(getattr(q, name), getattr(p, name)), name
+        xs = nprng.dirichlet(np.ones(p.m), 4)
+        assert np.array_equal(evaluate(q, xs), evaluate(p, xs))
+        assert np.array_equal(gradient(q, xs), gradient(p, xs))
+        exps = [d for d, _ in q.monomials]
+        assert exps == sorted(p.multisets)
+        for d, c in q.monomials:
+            assert type(c) is Fraction
+            assert c * prod(factorial(v) for v in d) == factorial(p.r)
+        assert q.coefficient_sum() == sum(c for _, c in p.monomials)
+
+
+def test_tables_are_read_only_and_stay_out_of_hash_and_repr():
+    for name in ("factors", "coefs", "grad_factors", "grad_weights"):
+        arr = getattr(WORKED, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+    assert hash(WORKED) == hash(Pattern(3, 3, WORKED.multisets))
+    assert repr(WORKED) == "Pattern(r=3, m=3, multisets=((2, 1, 0), (1, 1, 1)))"
+
+
 def test_evaluate_matches_hand_values():
-    poly = lagrange_polynomial(WORKED)
-    assert evaluate(poly, [0.5, 0.5, 0.0]) == pytest.approx(0.375, abs=1e-15)
-    assert eval_uniform_exact(poly, 3) == Fraction(1, 3)
+    assert evaluate(WORKED, [0.5, 0.5, 0.0]) == pytest.approx(0.375, abs=1e-15)
+    assert eval_uniform_exact(WORKED, 3) == Fraction(1, 3)
     # uniform with spare coordinates: larger s only shrinks the value
-    assert eval_uniform_exact(poly, 4) == Fraction(9, 64)
+    assert eval_uniform_exact(WORKED, 4) == Fraction(9, 64)
     with pytest.raises(ValueError):
-        eval_uniform_exact(poly, 2)
+        eval_uniform_exact(WORKED, 2)
     with pytest.raises(ValueError):
-        evaluate(poly, [0.5, 0.5])
+        evaluate(WORKED, [0.5, 0.5])
 
 
 def test_evaluate_exact_agrees_with_float():
@@ -96,21 +131,20 @@ def test_evaluate_exact_agrees_with_float():
             for _ in range(r):
                 counts[rng.randrange(m)] += 1
             mults.add(tuple(counts))
-        poly = lagrange_polynomial(Pattern(r, m, tuple(mults)))
+        p = Pattern(r, m, tuple(mults))
         point = [Fraction(rng.randint(0, 10), 37) for _ in range(m)]
-        exact = evaluate_exact(poly, point)
-        approx = evaluate(poly, [float(v) for v in point])
+        exact = evaluate_exact(p, point)
+        approx = evaluate(p, [float(v) for v in point])
         assert isclose(float(exact), approx, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_homogeneity_scaling():
     rng = random.Random(11)
-    poly = lagrange_polynomial(WORKED)
     for _ in range(50):
         x = [rng.uniform(0, 1) for _ in range(3)]
         t = rng.uniform(0, 2)
-        lhs = evaluate(poly, [t * v for v in x])
-        rhs = t**poly.r * evaluate(poly, x)
+        lhs = evaluate(WORKED, [t * v for v in x])
+        rhs = t**WORKED.r * evaluate(WORKED, x)
         assert isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
 
 
@@ -118,7 +152,7 @@ def test_complete_pattern_polynomial_is_one_on_simplex():
     # complete multiset pattern would be (sum x)^r; the plain-set version
     # evaluated at uniform gives r! C(m,r) / m^r
     p = complete_pattern(3, 6)
-    assert eval_uniform_exact(lagrange_polynomial(p), 6) == Fraction(5, 9)
+    assert eval_uniform_exact(p, 6) == Fraction(5, 9)
 
 
 def test_json_roundtrip():

@@ -17,7 +17,6 @@ from turangap import (
     Pattern,
     certificate,
     evaluate,
-    lagrange_polynomial,
     maximize,
     simple_pattern,
 )
@@ -63,34 +62,33 @@ def test_gradient_matches_central_differences():
     h = 1e-6
     for _ in range(30):
         p = random_pattern(rng)
-        poly = lagrange_polynomial(p)
         x = nprng.dirichlet(np.ones(p.m))
-        g = gradient(poly, x)
+        g = gradient(p, x)
         for i in range(p.m):
             xp = x.copy()
             xm = x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (evaluate(poly, xp) - evaluate(poly, xm)) / (2 * h)
+            fd = (evaluate(p, xp) - evaluate(p, xm)) / (2 * h)
             scale = max(1.0, abs(fd))
             assert abs(g[i] - fd) / scale < 1e-5
 
 
 def test_gradient_at_boundary_points():
-    poly = lagrange_polynomial(SINGLE_EDGE_3)  # 6 x y z
-    g = gradient(poly, np.array([1.0, 0.0, 0.0]))
+    p = SINGLE_EDGE_3  # 6 x y z
+    g = gradient(p, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(g, [0.0, 0.0, 0.0])
-    g = gradient(poly, np.array([0.5, 0.5, 0.0]))
+    g = gradient(p, np.array([0.5, 0.5, 0.0]))
     assert np.allclose(g, [0.0, 0.0, 1.5])
 
 
 def test_kkt_residual_zero_at_uniform_max():
-    poly = lagrange_polynomial(SINGLE_EDGE_3)
-    assert kkt_residual(poly, np.full(3, 1 / 3)) < 1e-14
+    p = SINGLE_EDGE_3
+    assert kkt_residual(p, np.full(3, 1 / 3)) < 1e-14
     # vertex of the simplex is stationary for x*y*z but not the max
-    assert kkt_residual(poly, np.array([1.0, 0.0, 0.0])) < 1e-14
+    assert kkt_residual(p, np.array([1.0, 0.0, 0.0])) < 1e-14
     # interior non-critical point has a visible residual
-    assert kkt_residual(poly, np.array([0.6, 0.3, 0.1])) > 1e-3
+    assert kkt_residual(p, np.array([0.6, 0.3, 0.1])) > 1e-3
 
 
 def test_maximize_single_edge_hits_uniform():
@@ -131,8 +129,7 @@ def test_maximize_reports_value_at_point():
     for _ in range(10):
         p = random_pattern(rng, r_max=4, m_max=5)
         res = maximize(p, OptimizerConfig(starts=8))
-        poly = lagrange_polynomial(p)
-        assert res.value == pytest.approx(evaluate(poly, res.point), abs=1e-12)
+        assert res.value == pytest.approx(evaluate(p, res.point), abs=1e-12)
         assert res.kkt_residual <= 1e-6
         assert res.value >= 0.0
 
@@ -141,11 +138,10 @@ def test_warm_start_is_honored():
     # the result can never fall below the value at a supplied warm start
     rng = np.random.default_rng(31)
     p = complete_pattern(2, 4)
-    poly = lagrange_polynomial(p)
     for _ in range(5):
         warm = rng.dirichlet(np.ones(4))
         res = maximize(p, OptimizerConfig(starts=1), extra_starts=[warm])
-        assert res.value >= evaluate(poly, warm) - 1e-12
+        assert res.value >= evaluate(p, warm) - 1e-12
     res = maximize(p, OptimizerConfig(starts=1), extra_starts=[np.full(4, 0.25)])
     assert res.value == pytest.approx(0.75, abs=1e-12)
 
@@ -247,7 +243,7 @@ def test_projection_rows_match_vector_projection(batch):
 def _exact_gradient(p: Pattern, x) -> list[Fraction]:
     """Reference: differentiate each monomial in exact arithmetic."""
     g = [Fraction(0)] * p.m
-    for exps, coef in lagrange_polynomial(p).monomials:
+    for exps, coef in p.monomials:
         for i, e in enumerate(exps):
             if e:
                 term = coef * e
@@ -268,27 +264,25 @@ def test_batched_gradient_matches_vector_and_exact_derivative():
     nprng = np.random.default_rng(41)
     for _ in range(40):
         p = random_pattern(rng)
-        poly = lagrange_polynomial(p)
         xs = np.vstack([nprng.dirichlet(np.ones(p.m), 5), _dyadic_points(nprng, p.m, 5)])
-        g = gradient(poly, xs)
+        g = gradient(p, xs)
         assert g.shape == xs.shape
         for x, gx in zip(xs, g):
-            assert np.allclose(gradient(poly, x), gx, rtol=1e-14, atol=0)
+            assert np.allclose(gradient(p, x), gx, rtol=1e-14, atol=0)
         # at dyadic points (zero coordinates included) the float gradient is
         # exact, so the zero-coordinate rule holds with no rounding
         for x, gx in zip(xs[5:], g[5:]):
             assert gx.tolist() == [float(v) for v in _exact_gradient(p, x)]
     with pytest.raises(ValueError):
-        gradient(poly, np.ones((2, 3, p.m)))
+        gradient(p, np.ones((2, 3, p.m)))
 
 
 def test_gradient_at_zero_coordinate_keeps_only_linear_monomials():
     # lambda = 3 x^2 y + 6 x y z + 3 y^2 z: at y = 0, d/dy = 3 x^2 + 6 x z;
     # the y^2 z monomial is not linear in y and contributes nothing
     p = Pattern.from_element_lists(3, 3, [(1, 1, 2), (1, 2, 3), (2, 2, 3)])
-    poly = lagrange_polynomial(p)
     xs = np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    g = gradient(poly, xs)
+    g = gradient(p, xs)
     assert g[:, 1].tolist() == [3 * 0.25 + 6 * 0.25, 3.0, 0.0]
     assert g[:, [0, 2]].tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
 
@@ -298,12 +292,11 @@ def test_batched_evaluate_matches_evaluate_batch():
     nprng = np.random.default_rng(43)
     for _ in range(30):
         p = random_pattern(rng)
-        poly = lagrange_polynomial(p)
         xs = nprng.dirichlet(np.ones(p.m), 7)
-        vals = evaluate(poly, xs)
-        assert np.array_equal(vals, evaluate_batch(poly, xs))
-        assert np.allclose([evaluate(poly, x) for x in xs], vals, rtol=1e-14, atol=0)
-    empty = lagrange_polynomial(Pattern(3, 4, ()))
+        vals = evaluate(p, xs)
+        assert np.array_equal(vals, evaluate_batch(p, xs))
+        assert np.allclose([evaluate(p, x) for x in xs], vals, rtol=1e-14, atol=0)
+    empty = Pattern(3, 4, ())
     assert evaluate(empty, np.full((2, 4), 0.25)).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         evaluate(empty, np.ones((2, 3)))
@@ -313,18 +306,18 @@ def test_batched_evaluate_matches_evaluate_batch():
 # batched maximize against a per-start oracle
 
 
-def _ascend(poly, x0, max_iterations: int, tolerance: float):
+def _ascend(p, x0, max_iterations: int, tolerance: float):
     """Reference: projected gradient ascent with backtracking from one start.
 
     Returns the cleaned point, its value and the number of gradient steps.
     Calls the primitives through the simplex module, so a test can swap them.
     """
     x = sx.project_to_simplex(x0)
-    f = sx.evaluate(poly, x)
+    f = sx.evaluate(p, x)
     eta = 1.0
     iterations = 0
     for _ in range(max_iterations):
-        g = sx.gradient(poly, x)
+        g = sx.gradient(p, x)
         iterations += 1
         accepted = False
         move = 0.0
@@ -334,7 +327,7 @@ def _ascend(poly, x0, max_iterations: int, tolerance: float):
             move = float(np.max(np.abs(step)))
             if move == 0.0:
                 break
-            fy = sx.evaluate(poly, y)
+            fy = sx.evaluate(p, y)
             if fy - f >= 1e-4 * float((g * step).sum()):
                 accepted = True
                 break
@@ -349,7 +342,7 @@ def _ascend(poly, x0, max_iterations: int, tolerance: float):
     x[x < SUPPORT_EPS] = 0.0
     supp = x > 0.0
     x[supp] = sx.project_to_simplex(x[supp])
-    return x, sx.evaluate(poly, x), iterations
+    return x, sx.evaluate(p, x), iterations
 
 
 DEGENERATE = pattern_of(DownSet(4, 3, frozenset({(2, 1, 1), (2, 2, 0)})))
@@ -372,14 +365,14 @@ def _oracle_cases():
     return cases
 
 
-def _row_gradient(poly, x):
-    terms = np.asarray(x, dtype=np.float64)[..., poly.grad_factors].prod(axis=-1)
-    return (terms[..., None] * poly.grad_weights).sum(axis=-2)
+def _row_gradient(p, x):
+    terms = np.asarray(x, dtype=np.float64)[..., p.grad_factors].prod(axis=-1)
+    return (terms[..., None] * p.grad_weights).sum(axis=-2)
 
 
-def _row_evaluate(poly, x):
+def _row_evaluate(p, x):
     xv = np.asarray(x, dtype=np.float64)
-    values = (xv[..., poly.factors].prod(axis=-1) * poly.coefs).sum(axis=-1)
+    values = (xv[..., p.factors].prod(axis=-1) * p.coefs).sum(axis=-1)
     return float(values) if xv.ndim == 1 else values
 
 
@@ -392,9 +385,8 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
     monkeypatch.setattr(sx, "evaluate", _row_evaluate)
     for p, config, extra in _oracle_cases():
         res = maximize(p, config, extra_starts=extra)
-        poly = lagrange_polynomial(p)
         starts, kinds = _start_points(p.m, config, extra)
-        runs = [_ascend(poly, x0, config.max_iterations, _TOLERANCE) for x0 in starts]
+        runs = [_ascend(p, x0, config.max_iterations, _TOLERANCE) for x0 in starts]
         assert res.iterations == tuple(n for _, _, n in runs)
         values = [f for _, f, _ in runs]
         # ties go to the lowest start index
@@ -403,7 +395,7 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
         assert res.value == max(values)
         assert np.array_equal(res.point, runs[res.start_index][0])
         if extra:
-            assert res.value >= evaluate(poly, extra[0]) - 1e-12
+            assert res.value >= evaluate(p, extra[0]) - 1e-12
         if p == DEGENERATE:
             assert max(res.iterations) > 1000
     # the K_5 case really has tied starts for the tie-break to settle
@@ -413,12 +405,11 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
 def test_maximize_matches_best_oracle_value():
     for p, config, extra in _oracle_cases():
         res = maximize(p, config, extra_starts=extra)
-        poly = lagrange_polynomial(p)
         starts, _ = _start_points(p.m, config, extra)
-        best = max(_ascend(poly, x0, config.max_iterations, _TOLERANCE)[1]
+        best = max(_ascend(p, x0, config.max_iterations, _TOLERANCE)[1]
                    for x0 in starts)
         assert abs(res.value - best) <= 1e-12
-        assert res.value == pytest.approx(evaluate(poly, res.point), abs=1e-15)
+        assert res.value == pytest.approx(evaluate(p, res.point), abs=1e-15)
 
 
 def test_cleanup_returns_tiny_mass_to_the_support():
