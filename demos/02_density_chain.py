@@ -8,7 +8,8 @@ pattern K_t, or K_{t-1} with a vertex pair left uncovered, and by the
 optimizer elsewhere.  Consecutive maxima never differ by more than
 3!/3^3 = 2/9, the values climb monotonically, and whenever a step comes
 close to the bound the value it started from was already near zero.
-One audit, ``verify_gap_bound``, checks all three.
+One audit, ``verify_gap_bound``, checks all three, and that every
+optimizer rung ended at a stationary point (KKT residual at most 1e-6).
 """
 
 from math import comb
@@ -36,6 +37,7 @@ print(f"\nstep bound 2/9: max step {lad.max_step:.9f} at index {lad.max_step_ind
 print(f"violations: steps={gap.step_violations} monotone={gap.monotone_violations}")
 # steps within 0.01 of 2/9 must start below 0.01
 print(f"near-equality rungs: {gap.near_triggered}, violations: {gap.near_violations}")
+print(f"optimizer rungs with a KKT residual above 1e-6: {gap.kkt_violations}")
 # rung 0 is the least value, so bounded steps leave no longer gap on the value axis
 print(f"every check passed: {gap.ok}")
 

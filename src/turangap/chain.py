@@ -29,6 +29,7 @@ from .patterns import simple_pattern
 from .simplex import OptimizerConfig, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
+_KKT_BOUND = 1e-6  # largest first-order residual an optimizer rung may keep
 _NEAR_EPS = 0.01  # steps this close to r!/r^r are audited ...
 _NEAR_DELTA = 0.01  # ... and must start from a value below this
 
@@ -175,6 +176,7 @@ class GapReport:
     monotone_violations: tuple[int, ...]
     near_triggered: tuple[int, ...]
     near_violations: tuple[int, ...]
+    kkt_violations: tuple[int, ...]
 
     @property
     def steps_ok(self) -> bool:
@@ -182,16 +184,19 @@ class GapReport:
 
     @property
     def ok(self) -> bool:
-        return self.steps_ok and not self.near_violations
+        return self.steps_ok and not self.near_violations and not self.kkt_violations
 
 
 def verify_gap_bound(lad: ChainLadder) -> GapReport:
-    """Check every step against r!/r^r, monotonicity and near equality.
+    """Check every step against r!/r^r, monotonicity and near equality, and
+    every optimizer rung's KKT residual against _KKT_BOUND.
 
     A step above r!/r^r + _STEP_SLACK or below -1e-9 is reported, not
     raised.  A step above r!/r^r - _NEAR_EPS must start below _NEAR_DELTA:
     equality needs all r coordinates of the new edge at exactly 1/r, which
-    starves every earlier edge of weight.
+    starves every earlier edge of weight.  A larger KKT residual means the
+    optimizer stopped short of a stationary point, so its value may sit
+    below the rung's maximum.
 
     Cover corollary: rung 0 holds the least value 0, so for neighbours a < b
     among the sorted values the first rung i reaching b has a rung i - 1 at
@@ -218,4 +223,7 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
         monotone_violations=tuple(mono_viol),
         near_triggered=tuple(triggered),
         near_violations=tuple(near_viol),
+        kkt_violations=tuple(
+            i for i, (exact, kkt) in enumerate(zip(lad.exact_values, lad.kkt_residuals))
+            if exact is None and kkt > _KKT_BOUND),
     )

@@ -5,7 +5,8 @@ writer then writes the machine-readable artifact (csv or json; text for
 ``blow-up``) plus a manifest JSON next to it, so a failed run writes no
 artifact.  argparse alone reads the command line and its type converters
 normalize each flag; artifact names are content-addressed from the parsed
-flags, so identical invocations rewrite byte-identical primary outputs.
+flags, an input file standing in by its normalized content rather than its
+path, so identical invocations rewrite byte-identical primary outputs.
 The manifest wall time (Monte Carlo included) is informational only.
 Stdout holds only the summary; the artifact path goes to stderr.
 
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -49,7 +51,14 @@ from .exact_ladder import (
     occupancy_count,
     verify_lemma,
 )
-from .patterns import BlowupSpec, blow_up, blowup_edge_count, load_pattern
+from .patterns import (
+    BlowupSpec,
+    Pattern,
+    blow_up,
+    blowup_edge_count,
+    load_pattern,
+    pattern_to_dict,
+)
 from .simplex import OptimizerConfig, certificate, maximize
 
 
@@ -57,13 +66,16 @@ from .simplex import OptimizerConfig, certificate, maximize
 class Result:
     """One subcommand's output: the json object, a (csv header, rows)
     ``table`` or the finished text of a ``.txt`` artifact, summary lines,
-    and False in ``ok`` if a check failed.
+    False in ``ok`` if a check failed, and the normalized content of each
+    input file by flag, which stands for the file path in the content
+    address.
     """
 
     json: object
     table: tuple[list[str], list[list]] | str
     summary: list[str]
     ok: bool = True
+    inputs: dict = field(default_factory=dict)
 
 
 def _write(args, result: Result, wall_time_s: float) -> str:
@@ -79,10 +91,11 @@ def _write(args, result: Result, wall_time_s: float) -> str:
         writer.writerows(result.table[1])
         content, ext = buf.getvalue(), ".csv"
     # the first four manifest keys are the content address; the parameters
-    # are every parsed flag but --seed (a key of its own) and --out
+    # are every parsed flag but --seed (a key of its own) and --out, with an
+    # input file's normalized content in place of its path
     manifest = {
         "command": args.command,
-        "parameters": {k: v for k, v in vars(args).items()
+        "parameters": {k: result.inputs.get(k, v) for k, v in vars(args).items()
                        if k not in ("command", "handler", "seed", "out")},
         "seed": args.seed,
         "version": __version__,
@@ -100,6 +113,13 @@ def _write(args, result: Result, wall_time_s: float) -> str:
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _pattern_input(pattern: Pattern) -> dict:
+    """The pattern's wire form with its multisets sorted, as equality sees it."""
+    obj = pattern_to_dict(pattern)
+    obj["multisets"].sort()
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +140,8 @@ def _handle_lagrangian(args) -> Result:
         f"point:        ({', '.join(f'{v:.6f}' for v in res.point)})",
         f"kkt residual: {res.kkt_residual:.3e}",
     ]
-    return Result(certificate(pattern, res), table, summary)
+    return Result(certificate(pattern, res), table, summary,
+                  inputs={"pattern": _pattern_input(pattern)})
 
 
 def _handle_chain(args) -> Result:
@@ -145,6 +166,7 @@ def _handle_chain(args) -> Result:
         "max_step_index": lad.max_step_index,
         "gap_ok": gap.steps_ok,
         "near_equality_ok": not gap.near_violations,
+        "kkt_ok": not gap.kkt_violations,
     }
     summary = [
         f"chain r={r} m={m} order={args.order}: {len(lad.edges)} edges",
@@ -156,6 +178,8 @@ def _handle_chain(args) -> Result:
         f"step bound: {'ok' if not gap.step_violations else f'VIOLATED at {gap.step_violations}'}",
         f"near-equality rungs {gap.near_triggered}: "
         f"{'ok' if not gap.near_violations else f'VIOLATED at {gap.near_violations}'}",
+        f"kkt residuals: {'ok' if not gap.kkt_violations else f'VIOLATED at {gap.kkt_violations}'}"
+        f" (largest {max(lad.kkt_residuals):.3e})",
     ]
     table = (["index", "num_edges", "value", "step", "kkt_residual"], rows)
     return Result(obj, table, summary, gap.ok)
@@ -220,8 +244,10 @@ def _handle_lemma_check(args) -> Result:
                 f"file has r={down.r} s={down.s}, flags say r={args.r} s={args.s}"
             )
         sets = [down]
+        inputs = {"downset": downset_to_dict(down)}
     else:
         sets = list(iter_down_sets(args.r, args.s))
+        inputs = {}
     opt = OptimizerConfig(seed=args.seed)
     reports = [verify_lemma(a, opt) for a in sets]
     rows = []
@@ -263,7 +289,7 @@ def _handle_lemma_check(args) -> Result:
          "grid_bound", "status"],
         rows,
     )
-    return Result(obj, table, summary, all(rep.passed for rep in reports))
+    return Result(obj, table, summary, all(rep.passed for rep in reports), inputs=inputs)
 
 
 def _handle_bunching(args) -> Result:
@@ -303,7 +329,8 @@ def _handle_blow_up(args) -> Result:
     text = "".join(" ".join(map(str, e)) + "\n" for e in edges)
     summary = [f"blow-up of r={pattern.r} m={pattern.m} pattern with sizes {args.sizes}: "
                f"{len(edges)} edges (closed form {expected})"]
-    return Result(obj, text, summary, len(edges) == expected)
+    return Result(obj, text, summary, len(edges) == expected,
+                  inputs={"pattern": _pattern_input(pattern)})
 
 
 def _handle_minimal_m(args) -> Result:
@@ -337,7 +364,10 @@ def _sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse --sizes value {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; no flag has a mutable default, so
+    every parse starts from the same state."""
     parser = argparse.ArgumentParser(
         prog="turangap",
         description="Certified simplex maxima, density chains, and exact "
@@ -346,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lagrangian", help="maximize one pattern over the simplex")
-    p.add_argument("--pattern", type=os.path.abspath, required=True, help="pattern JSON file")
+    p.add_argument("--pattern", required=True, help="pattern JSON file")
     _add_common(p)
     p.set_defaults(handler=_handle_lagrangian)
 
@@ -375,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all-downsets", action="store_true", dest="all_downsets")
-    group.add_argument("--downset", type=os.path.abspath, help="down-set JSON file")
+    group.add_argument("--downset", help="down-set JSON file")
     _add_common(p)
     p.set_defaults(handler=_handle_lemma_check)
 
@@ -387,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_handle_bunching)
 
     p = sub.add_parser("blow-up", help="materialize the blow-up of a pattern")
-    p.add_argument("--pattern", type=os.path.abspath, required=True, help="pattern JSON file")
+    p.add_argument("--pattern", required=True, help="pattern JSON file")
     p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma-separated class sizes, e.g. 3,2")
     _add_common(p, seed=False)

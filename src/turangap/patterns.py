@@ -34,7 +34,8 @@ class Pattern:
     """A duplicate-free collection of r-multisets on {1, ..., m}, each a
     multiplicity tuple such as (2, 1, 0) for {1, 1, 2}, together with its
     Lagrange polynomial.  The one place a multiset is validated; r, m and
-    the entries are normalized to plain ints.
+    the entries are normalized to plain ints.  Equality and hash follow the
+    set of multisets, not their order, which ``multisets`` keeps as given.
 
     Read-only float tables for numeric work are built once, after
     validation, over the multisets in sorted order (the order of
@@ -91,6 +92,15 @@ class Pattern:
                           ("grad_weights", grad_weights)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return (self.r, self.m, frozenset(self.multisets)) == (
+            other.r, other.m, frozenset(other.multisets))
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.m, frozenset(self.multisets)))
 
     @property
     def monomials(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:

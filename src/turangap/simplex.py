@@ -9,6 +9,7 @@ routes can be cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 import warnings
 
@@ -17,7 +18,7 @@ import numpy as np
 from .patterns import Pattern, evaluate, evaluate_batch, pattern_to_dict
 
 SUPPORT_EPS = 1e-14
-_TOLERANCE = 1e-12  # a start whose accepted move is shorter than this stops
+_TOLERANCE = 1e-12  # a candidate step moving less than this ends its start, untaken
 
 
 def project_to_simplex(v: Sequence[float]) -> np.ndarray:
@@ -97,26 +98,39 @@ class OptResult:
     iterations: tuple[int, ...]
 
 
+@lru_cache(maxsize=64)
+def _random_rows(m: int, first: int, starts: int, seed: int) -> np.ndarray:
+    """Random start rows first, ..., starts - 1 on the simplex, read-only.
+
+    Row i draws from its own generator seeded [seed, i], so seeds and start
+    indices never share a stream.  Cached: every maximize with the same m,
+    start count and seed (each rung of a chain, each family of a lemma
+    check) reuses one set of draws.
+    """
+    draws = np.array([
+        np.random.default_rng([seed, i]).exponential(1.0, m) for i in range(first, starts)
+    ]).reshape(-1, m)
+    rows = draws / draws.sum(axis=1, keepdims=True)
+    rows.flags.writeable = False
+    return rows
+
+
 def _start_points(
     m: int, config: OptimizerConfig, extra_starts: Sequence[Sequence[float]]
 ) -> tuple[np.ndarray, list[str]]:
     """Uniform point, vertices, then seeded random draws; warm starts last.
 
-    The uniform point is always kept.  Random start i draws from its own
-    generator seeded [seed, i], so seeds and start indices never share a
-    stream.  Returns the start rows (not yet projected) and their kinds.
+    The uniform point is always kept.  Returns the start rows (not yet
+    projected) and their kinds.
     """
     fixed = np.vstack([np.full(m, 1.0 / m), np.eye(m)])[: config.starts]
-    draws = np.array([
-        np.random.default_rng([config.seed, i]).exponential(1.0, m)
-        for i in range(len(fixed), config.starts)
-    ]).reshape(-1, m)
+    draws = _random_rows(m, len(fixed), config.starts, config.seed)
     warm = np.asarray(extra_starts, dtype=np.float64).reshape(-1, m)
     if len(warm) != len(extra_starts):
         raise ValueError(f"warm starts must have length m={m}")
     kinds = (["uniform"] + ["vertex"] * m)[: len(fixed)]
     kinds += ["random"] * len(draws) + ["warm"] * len(warm)
-    return np.vstack([fixed, draws / draws.sum(axis=1, keepdims=True), warm]), kinds
+    return np.vstack([fixed, draws, warm]), kinds
 
 
 def maximize(
@@ -128,10 +142,12 @@ def maximize(
 
     Every start runs projected gradient ascent with its own Armijo step size
     eta (halved down to 1e-16 on a failed step, doubled up to 1e6 after an
-    accepted one).  A start stops at a projection fixed point, after a move
-    below _TOLERANCE, or after max_iterations steps.  Its point is then
-    cleaned: coordinates below SUPPORT_EPS are zeroed and the rest
-    re-projected inside that support face.
+    accepted one).  A start takes its first step size that passes Armijo or
+    moves no coordinate by _TOLERANCE; in the second case, a projection
+    fixed point included, it stops without taking that step.  It also stops
+    when no step size down to 1e-16 qualifies, or after max_iterations
+    steps.  Its point is then cleaned: coordinates below SUPPORT_EPS are
+    zeroed and the rest re-projected inside that support face.
     """
     config = config or OptimizerConfig()
     starts, kinds = _start_points(p.m, config, extra_starts)
@@ -150,9 +166,12 @@ def maximize(
         tries = 2
         while trying.size:
             # try the next step sizes eta, eta/2, ... of every backtracking
-            # row at once, doubling the count each round; a row takes its
-            # first candidate that is a projection fixed point or passes
-            # Armijo, exactly as a one-at-a-time search would
+            # row at once, 2 in the first round and 8x as many in each later
+            # one; a row takes its first candidate that moves less than
+            # _TOLERANCE or passes Armijo, exactly as a one-at-a-time search
+            # would.  The projected step only lengthens as eta grows (Calamai
+            # and More, Math. Prog. 1987), so after a short one every smaller
+            # step size would barely move either: the start has converged
             rows = live[trying]
             etas = eta[rows, None] * 0.5 ** np.arange(tries)
             xr = x[rows, None, :]
@@ -164,16 +183,16 @@ def maximize(
             # Armijo condition on the projection arc; the inner product is
             # positive whenever the projected step moves
             armijo = fy - f[rows, None] >= 1e-4 * (step * g[trying, None, :]).sum(axis=2)
-            stop = ((moved == 0.0) | armijo) & (etas >= 1e-16)
+            stop = ((moved < _TOLERANCE) | armijo) & (etas >= 1e-16)
             hit = stop.any(axis=1)
             pick = (np.arange(len(rows)), stop.argmax(axis=1))
             eta[rows] = np.where(hit, etas[pick], etas[:, -1] * 0.5)
-            took = hit & (moved[pick] > 0.0)
+            took = hit & (moved[pick] >= _TOLERANCE)
             x[rows[took]] = y[pick][took]
             f[rows[took]] = fy[pick][took]
-            go_on[trying[took]] = moved[pick][took] >= _TOLERANCE
+            go_on[trying[took]] = True
             trying = trying[~hit & (eta[rows] >= 1e-16)]
-            tries *= 2
+            tries *= 8
         live = live[go_on]
         eta[live] = np.minimum(eta[live] * 2.0, 1e6)
     x[x < SUPPORT_EPS] = 0.0

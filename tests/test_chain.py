@@ -1,5 +1,6 @@
 """One-edge-at-a-time chains and the step-size bound."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -15,7 +16,7 @@ from turangap import (
     minimal_m,
     verify_gap_bound,
 )
-from turangap.chain import _STEP_SLACK, ChainLadder, edge_enumeration
+from turangap.chain import _KKT_BOUND, _STEP_SLACK, ChainLadder, edge_enumeration
 from turangap.patterns import simple_pattern
 from turangap.simplex import maximize
 
@@ -156,6 +157,24 @@ def test_near_equality_fails_on_a_large_predecessor():
     # a step just short of 2/9 - 0.01 is not audited at all
     gap = verify_gap_bound(_fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.0101))
     assert gap.near_triggered == () and gap.ok
+
+
+def test_starved_optimizer_fails_the_kkt_gate():
+    # one ascent step leaves the optimizer rungs far from stationary while
+    # every step stays below 2/9, so only the KKT gate can see it
+    starved = build_chain_ladder(ChainConfig(3, 5, opt=OptimizerConfig(max_iterations=1)))
+    gap = verify_gap_bound(starved)
+    assert gap.steps_ok and not gap.near_violations
+    assert gap.kkt_violations == (3, 8, 9) and not gap.ok
+    assert all(starved.exact_values[i] is None for i in gap.kkt_violations)
+    assert verify_gap_bound(build_chain_ladder(ChainConfig(3, 5))).kkt_violations == ()
+
+
+def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
+    lad = _fabricated_ladder(0.0, 0.1, 0.2)  # rung 1 optimized, rung 2 closed-form
+    assert verify_gap_bound(replace(lad, kkt_residuals=(0.0, _KKT_BOUND, 1.0))).ok
+    over = verify_gap_bound(replace(lad, kkt_residuals=(0.0, 1.5 * _KKT_BOUND, 0.0)))
+    assert over.kkt_violations == (1,) and over.steps_ok and not over.ok
 
 
 _STEPS = st.one_of(st.floats(-0.3, 0.3), st.floats(-1e-9, 0.0),

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from turangap import DownSet, simple_pattern
-from turangap.cli import dispatch
+from turangap.cli import build_parser, dispatch
 from turangap.dominance import downset_to_dict
 from turangap.patterns import pattern_to_dict
 
@@ -64,6 +64,68 @@ def test_identical_runs_are_byte_identical(tmp_path, pattern_file):
     assert len(primaries) == 2
 
 
+def _written(out_dir):
+    """Each file's bytes by name, the manifests without their wall time."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["wall_time_s"]
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_one_parser_serves_every_dispatch(tmp_path, pattern_file):
+    # the parser is built once per process; runs that reuse it, around a
+    # rejected flag, write what runs with a fresh parser write
+    runs = [["lagrangian", "--pattern", pattern_file, "--seed", "3"],
+            ["chain", "--r", "3", "--m", "5", "--format", "json"],
+            ["lemma-check", "--r", "3", "--s", "2", "--all-downsets"],
+            ["max-step", "--r", "4"]]
+    fresh = tmp_path / "fresh"
+    for argv in runs:
+        build_parser.cache_clear()
+        assert dispatch(argv + ["--out", str(fresh)]) == 0
+    assert build_parser() is build_parser()
+    shared = tmp_path / "shared"
+    for argv in runs:
+        assert dispatch(argv + ["--out", str(shared)]) == 0
+        assert dispatch(argv + ["--bogus", "--out", str(shared)]) == 2
+        assert dispatch(["chain", "--r", "x", "--out", str(shared)]) == 2
+    assert _written(shared) == _written(fresh)
+
+
+@pytest.mark.parametrize("command,extra,flag,first,turned,other", [
+    ("lagrangian", [], "--pattern", WORKED,
+     dict(WORKED, multisets=WORKED["multisets"][::-1]),
+     {"r": 3, "m": 3, "multisets": [[1, 2, 3]]}),
+    ("blow-up", ["--sizes", "2,2,2"], "--pattern", WORKED,
+     dict(WORKED, multisets=WORKED["multisets"][::-1]),
+     {"r": 3, "m": 3, "multisets": [[1, 2, 3]]}),
+    ("lemma-check", ["--r", "3", "--s", "2"], "--downset",
+     {"r": 3, "s": 2, "members": [[2, 1], [3, 0]]},
+     {"r": 3, "s": 2, "members": [[3, 0], [2, 1]]},
+     {"r": 3, "s": 2, "members": []}),
+])
+def test_input_file_names_its_artifact_by_content(tmp_path, command, extra, flag,
+                                                  first, turned, other):
+    # one content in two directories, reordered or not, gets one name; new
+    # content at the same path gets a new one
+    def name(path, obj):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(obj))
+        out = tmp_path / f"out-{len(list(tmp_path.glob('out-*')))}"
+        assert dispatch([command, *extra, flag, str(path), "--out", str(out)]) == 0
+        primaries, _ = _artifacts(out, command + "-")
+        return primaries[0].name
+
+    a, b = tmp_path / "a" / "in.json", tmp_path / "b" / "in.json"
+    assert name(a, first) == name(b, first) == name(b, turned)
+    assert name(a, other) != name(b, first)
+
+
 def test_lagrangian_json_format(tmp_path, pattern_file):
     code = dispatch(
         ["lagrangian", "--pattern", pattern_file, "--format", "json",
@@ -87,8 +149,9 @@ def test_chain_subcommand(tmp_path, capsys):
     obj = json.loads(primaries[0].read_text())
     assert obj["r"] == 3 and obj["m"] == 5
     assert len(obj["values"]) == 11  # C(5,3) rungs plus the start
-    assert obj["gap_ok"] and obj["near_equality_ok"]
+    assert obj["gap_ok"] and obj["near_equality_ok"] and obj["kkt_ok"]
     assert obj["max_step"] <= 2 / 9 + 1e-6
+    assert "\nkkt residuals: ok (largest " in out
 
 
 def test_chain_requires_m(tmp_path):

@@ -109,6 +109,18 @@ def test_tables_are_read_only_and_stay_out_of_hash_and_repr():
     assert repr(WORKED) == "Pattern(r=3, m=3, multisets=((2, 1, 0), (1, 1, 1)))"
 
 
+def test_reordered_multisets_are_the_same_pattern():
+    # equality and hash follow the set of multisets; each keeps its own order
+    turned = Pattern(3, 3, ((1, 1, 1), (2, 1, 0)))
+    assert turned == WORKED and hash(turned) == hash(WORKED)
+    assert len({turned, WORKED}) == 1
+    assert pattern_to_dict(turned)["multisets"] == [[1, 2, 3], [1, 1, 2]]
+    assert pattern_to_dict(WORKED)["multisets"] == [[1, 1, 2], [1, 2, 3]]
+    assert turned != Pattern(3, 3, ((1, 1, 1),))
+    assert turned != Pattern(3, 4, ((1, 1, 1, 0), (2, 1, 0, 0)))
+    assert turned != Pattern(4, 3, ((2, 1, 1), (2, 2, 0))) and turned != "pattern"
+
+
 def test_evaluate_matches_hand_values():
     assert evaluate(WORKED, [0.5, 0.5, 0.0]) == pytest.approx(0.375, abs=1e-15)
     assert eval_uniform_exact(WORKED, 3) == Fraction(1, 3)
