@@ -53,7 +53,6 @@ from .exact_ladder import (
 )
 from .patterns import (
     BlowupSpec,
-    Pattern,
     blow_up,
     blowup_edge_count,
     load_pattern,
@@ -115,13 +114,6 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _pattern_input(pattern: Pattern) -> dict:
-    """The pattern's wire form with its multisets sorted, as equality sees it."""
-    obj = pattern_to_dict(pattern)
-    obj["multisets"].sort()
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -141,7 +133,7 @@ def _handle_lagrangian(args) -> Result:
         f"kkt residual: {res.kkt_residual:.3e}",
     ]
     return Result(certificate(pattern, res), table, summary,
-                  inputs={"pattern": _pattern_input(pattern)})
+                  inputs={"pattern": pattern_to_dict(pattern)})
 
 
 def _handle_chain(args) -> Result:
@@ -330,7 +322,7 @@ def _handle_blow_up(args) -> Result:
     summary = [f"blow-up of r={pattern.r} m={pattern.m} pattern with sizes {args.sizes}: "
                f"{len(edges)} edges (closed form {expected})"]
     return Result(obj, text, summary, len(edges) == expected,
-                  inputs={"pattern": _pattern_input(pattern)})
+                  inputs={"pattern": pattern_to_dict(pattern)})
 
 
 def _handle_minimal_m(args) -> Result:

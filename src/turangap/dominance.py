@@ -13,7 +13,6 @@ everything stays in exact integer and Fraction arithmetic.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .patterns import Pattern
+from .patterns import Pattern, json_int
 
 Composition = tuple[int, ...]
 
@@ -118,9 +117,9 @@ def downset_to_dict(a: DownSet) -> dict:
 
 def downset_from_dict(obj: Mapping) -> DownSet:
     try:
-        r = operator.index(obj["r"])
-        s = operator.index(obj["s"])
-        members = [tuple(operator.index(v) for v in c) for c in obj["members"]]
+        r = json_int(obj["r"])
+        s = json_int(obj["s"])
+        members = [tuple(json_int(v) for v in c) for c in obj["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed down-set object: {exc}") from exc
     return DownSet(r, s, frozenset(members))

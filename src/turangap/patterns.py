@@ -1,15 +1,15 @@
 """Multiset patterns and their Lagrange polynomials.
 
-An r-pattern is a finite collection of r-multisets over a ground set
+An r-pattern is a finite set of r-multisets over a ground set
 {1, ..., m}.  A multiset is a plain tuple of m multiplicities, so
-(2, 1, 0) is {1, 1, 2}; ``Pattern`` validates it, and the JSON wire format
-spells it as the sorted element list [1, 1, 2].  A ``Pattern`` also
-carries its Lagrange polynomial, one monomial per multiset with the exact
-coefficient r!/prod(d_i!) (``Pattern.monomials``), and the float tables
-that ``evaluate`` and the simplex gradient read, built once when the
-pattern is.  Every exact quantity downstream (uniform values, density
-ladders) is computed with integers and Fractions; only evaluation goes
-through floats.
+(2, 1, 0) is {1, 1, 2}; ``Pattern`` validates it and sorts the set once,
+and the JSON wire format spells it as the sorted element list [1, 1, 2].
+A ``Pattern`` also carries its Lagrange polynomial, one monomial per
+multiset with the exact coefficient r!/prod(d_i!) (``Pattern.monomials``),
+and the float tables that ``evaluate`` and the simplex gradient read,
+built once when the pattern is.  Every exact quantity downstream (uniform
+values, density ladders) is computed with integers and Fractions; only
+evaluation goes through floats.
 
 Two second routes live in tests/oracles.py rather than here: the uniform
 value through the coefficient sum, and the part-intersection profile of a
@@ -34,17 +34,18 @@ class Pattern:
     """A duplicate-free collection of r-multisets on {1, ..., m}, each a
     multiplicity tuple such as (2, 1, 0) for {1, 1, 2}, together with its
     Lagrange polynomial.  The one place a multiset is validated; r, m and
-    the entries are normalized to plain ints.  Equality and hash follow the
-    set of multisets, not their order, which ``multisets`` keeps as given.
+    the entries are normalized to plain ints, and ``multisets`` is sorted
+    in descending tuple order (ascending element lists), so equal sets of
+    multisets make equal patterns whatever order they were given in.
 
     Read-only float tables for numeric work are built once, after
-    validation, over the multisets in sorted order (the order of
-    ``monomials``).  Monomial a is coefs[a] times the product of x over the
-    coordinates ``factors[a]`` (coordinate i repeated d_ai times).  Gradient
-    term a * r + t is that product without position t, weighted coefs[a]
-    into column factors[a, t] of ``grad_weights``; the d_ai copies of i sum
-    to the partial derivative, and at x_i = 0 only monomials linear in x_i
-    keep a nonzero term in column i.
+    validation, in the order of ``monomials``.  Monomial a is coefs[a]
+    times the product of x over the coordinates ``factors[a]`` (coordinate
+    i repeated d_ai times).  Gradient term a * r + t is that product
+    without position t, weighted coefs[a] into column factors[a, t] of
+    ``grad_weights``; the d_ai copies of i sum to the partial derivative,
+    and at x_i = 0 only monomials linear in x_i keep a nonzero term in
+    column i.
     """
 
     r: int
@@ -78,7 +79,7 @@ class Pattern:
             seen.add(d)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "multisets", ms)
+        object.__setattr__(self, "multisets", tuple(sorted(ms, reverse=True)))
         monos = self.monomials
         n = len(monos)
         exps = np.array([d for d, _ in monos], dtype=np.int64).reshape(n * m)
@@ -93,22 +94,14 @@ class Pattern:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return (self.r, self.m, frozenset(self.multisets)) == (
-            other.r, other.m, frozenset(other.multisets))
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.m, frozenset(self.multisets)))
-
     @property
     def monomials(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """One (multiplicity tuple, r!/prod(d_i!)) pair per multiset, sorted
-        by the tuple; the coefficients are exact."""
+        """One (multiplicity tuple, r!/prod(d_i!)) pair per multiset, in
+        ascending tuple order; the coefficients are exact."""
         rf = factorial(self.r)
+        # ascending, the order every float table and sum has always used
         return tuple((d, Fraction(rf, prod(map(factorial, d))))
-                     for d in sorted(self.multisets))
+                     for d in reversed(self.multisets))
 
     def coefficient_sum(self) -> Fraction:
         return sum((c for _, c in self.monomials), Fraction(0))
@@ -156,11 +149,19 @@ def pattern_to_dict(p: Pattern) -> dict:
     }
 
 
+def json_int(v: object) -> int:
+    """An integer read from a JSON file: ``operator.index``, except that
+    true and false, which Python counts as 1 and 0, raise TypeError."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is a boolean, not an integer")
+    return operator.index(v)
+
+
 def pattern_from_dict(obj: Mapping) -> Pattern:
     try:
-        r = operator.index(obj["r"])
-        m = operator.index(obj["m"])
-        lists = [[operator.index(v) for v in es] for es in obj["multisets"]]
+        r = json_int(obj["r"])
+        m = json_int(obj["m"])
+        lists = [[json_int(v) for v in es] for es in obj["multisets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern object: {exc}") from exc
     for es in lists:

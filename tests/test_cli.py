@@ -111,19 +111,21 @@ def test_one_parser_serves_every_dispatch(tmp_path, pattern_file):
 ])
 def test_input_file_names_its_artifact_by_content(tmp_path, command, extra, flag,
                                                   first, turned, other):
-    # one content in two directories, reordered or not, gets one name; new
-    # content at the same path gets a new one
-    def name(path, obj):
+    # one content in two directories, reordered or not, gets one name and
+    # the same bytes (a lagrangian certificate echoes the sorted multisets);
+    # new content at the same path gets a new name
+    def written(path, obj):
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(obj))
         out = tmp_path / f"out-{len(list(tmp_path.glob('out-*')))}"
-        assert dispatch([command, *extra, flag, str(path), "--out", str(out)]) == 0
+        assert dispatch([command, *extra, flag, str(path), "--format", "json",
+                         "--out", str(out)]) == 0
         primaries, _ = _artifacts(out, command + "-")
-        return primaries[0].name
+        return primaries[0].name, primaries[0].read_bytes()
 
     a, b = tmp_path / "a" / "in.json", tmp_path / "b" / "in.json"
-    assert name(a, first) == name(b, first) == name(b, turned)
-    assert name(a, other) != name(b, first)
+    assert written(a, first) == written(b, first) == written(b, turned)
+    assert written(a, other)[0] != written(b, first)[0]
 
 
 def test_lagrangian_json_format(tmp_path, pattern_file):
@@ -381,7 +383,8 @@ def test_malformed_pattern_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,extra", [("lagrangian", []),
                                            ("blow-up", ["--sizes", "1,1,1"])])
-@pytest.mark.parametrize("multisets", [5, [[1, 1, "a"]], [7], [[1.5, 2, 3]]], ids=repr)
+@pytest.mark.parametrize("multisets", [5, [[1, 1, "a"]], [7], [[1.5, 2, 3]], [[True, 2, 3]]],
+                         ids=repr)
 def test_malformed_pattern_object_is_usage_error(tmp_path, capsys, command, extra, multisets):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"r": 3, "m": 3, "multisets": multisets}))
@@ -427,6 +430,37 @@ def test_fractional_downset_member_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     code = dispatch(["lemma-check", "--r", "3", "--s", "2", "--downset", str(bad),
                      "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("turangap lemma-check: malformed down-set object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [("lagrangian", []),
+                                           ("blow-up", ["--sizes", "1,1,1"])])
+@pytest.mark.parametrize("obj", [{"r": 3, "m": True, "multisets": [[1, 1, 1]]},
+                                 {"r": True, "m": 3, "multisets": [[1]]}],
+                         ids=["m", "r"])
+def test_boolean_pattern_size_is_usage_error(tmp_path, capsys, command, extra, obj):
+    # JSON true is no integer, though Python counts it as 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    code = dispatch([command, "--pattern", str(bad), *extra, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"turangap {command}: malformed pattern object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("obj", [{"r": 3, "s": 2, "members": [[2, True]]},
+                                 {"r": 3, "s": True, "members": [[3]]},
+                                 {"r": True, "s": 2, "members": []}],
+                         ids=["member", "s", "r"])
+def test_boolean_in_downset_file_is_usage_error(tmp_path, capsys, obj):
+    bad = tmp_path / "down.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    flags = ["--r", str(int(obj["r"])), "--s", str(int(obj["s"]))]
+    code = dispatch(["lemma-check", *flags, "--downset", str(bad), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("turangap lemma-check: malformed down-set object")
     assert not out.exists()

@@ -128,6 +128,19 @@ def test_pattern_of_sizes():
     assert pattern_of(empty).multisets == ()
 
 
+def test_pattern_of_lists_every_profile_in_the_down_set():
+    # direct oracle: every ordered tuple whose sorted profile is a member,
+    # in the canonical order (descending tuples)
+    for r in range(2, 6):
+        for s in range(1, 5):
+            for a in iter_down_sets(r, s):
+                expected = [t for t in _ordered(r, s)
+                            if tuple(sorted(t, reverse=True)) in a.members]
+                p = pattern_of(a)
+                assert (p.r, p.m) == (r, s)
+                assert p.multisets == tuple(sorted(expected, reverse=True)), (r, s, a)
+
+
 def test_insert_sorted():
     assert insert_sorted((2, 0), 1) == (2, 1, 0)
     assert insert_sorted((1, 1), 3) == (3, 1, 1)

@@ -77,8 +77,8 @@ def test_worked_example_polynomial_exact():
 
 
 def test_tables_follow_sorted_monomials_whatever_the_multiset_order():
-    # the float tables are built over the sorted multisets, so the order a
-    # pattern was built in never changes a float sum; multisets keep theirs
+    # a pattern sorts its multisets once, so the order it was built in
+    # changes nothing: not the multisets, the wire form or a float table
     rng = random.Random(5)
     nprng = np.random.default_rng(5)
     for _ in range(20):
@@ -86,14 +86,17 @@ def test_tables_follow_sorted_monomials_whatever_the_multiset_order():
         shuffled = list(p.multisets)
         rng.shuffle(shuffled)
         q = Pattern(p.r, p.m, tuple(shuffled))
-        assert q.multisets == tuple(shuffled)
+        assert q.multisets == p.multisets == tuple(sorted(shuffled, reverse=True))
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        lists = pattern_to_dict(q)["multisets"]
+        assert lists == sorted(lists) == pattern_to_dict(p)["multisets"]
         for name in ("factors", "coefs", "grad_factors", "grad_weights"):
             assert np.array_equal(getattr(q, name), getattr(p, name)), name
         xs = nprng.dirichlet(np.ones(p.m), 4)
         assert np.array_equal(evaluate(q, xs), evaluate(p, xs))
         assert np.array_equal(gradient(q, xs), gradient(p, xs))
         exps = [d for d, _ in q.monomials]
-        assert exps == sorted(p.multisets)
+        assert exps == sorted(shuffled)
         for d, c in q.monomials:
             assert type(c) is Fraction
             assert c * prod(factorial(v) for v in d) == factorial(p.r)
@@ -110,12 +113,15 @@ def test_tables_are_read_only_and_stay_out_of_hash_and_repr():
 
 
 def test_reordered_multisets_are_the_same_pattern():
-    # equality and hash follow the set of multisets; each keeps its own order
+    # either order gives the one canonical order: ascending element lists
     turned = Pattern(3, 3, ((1, 1, 1), (2, 1, 0)))
     assert turned == WORKED and hash(turned) == hash(WORKED)
     assert len({turned, WORKED}) == 1
-    assert pattern_to_dict(turned)["multisets"] == [[1, 2, 3], [1, 1, 2]]
-    assert pattern_to_dict(WORKED)["multisets"] == [[1, 1, 2], [1, 2, 3]]
+    assert turned.multisets == WORKED.multisets == ((2, 1, 0), (1, 1, 1))
+    assert repr(turned) == repr(WORKED)
+    assert pattern_to_dict(turned) == pattern_to_dict(WORKED) == {
+        "r": 3, "m": 3, "multisets": [[1, 1, 2], [1, 2, 3]]}
+    assert pattern_from_dict({"r": 3, "m": 3, "multisets": [[1, 2, 3], [1, 1, 2]]}) == WORKED
     assert turned != Pattern(3, 3, ((1, 1, 1),))
     assert turned != Pattern(3, 4, ((1, 1, 1, 0), (2, 1, 0, 0)))
     assert turned != Pattern(4, 3, ((2, 1, 1), (2, 2, 0))) and turned != "pattern"
