@@ -19,6 +19,7 @@ from .patterns import Pattern, evaluate, evaluate_batch, pattern_to_dict
 
 SUPPORT_EPS = 1e-14
 _TOLERANCE = 1e-12  # a candidate step moving less than this ends its start, untaken
+_GRID_BLOCK = 1024  # grid rows per evaluate_batch call in certify_max_upper
 
 
 def project_to_simplex(v: Sequence[float]) -> np.ndarray:
@@ -227,12 +228,19 @@ def certificate(p: Pattern, result: OptResult) -> dict:
 
 
 def _grid_points(resolution: int, m: int) -> Iterable[np.ndarray]:
-    """Simplex grid {k / resolution} in float64 batches of 8192 rows.
+    """Simplex grid {k / resolution} in float64 batches of _GRID_BLOCK rows.
 
     The compositions of resolution into m parts are built whole, as one
     C(resolution + m - 1, m - 1) x m int32 array in lexicographic order (the
     stars-and-bars order of the bar positions): each round appends every
     value a part can still take to every row.  Nothing is cached.
+
+    Only one block is converted at a time, so evaluate_batch's (rows x
+    monomials x r) gather stays small and in cache.  The block size must
+    stay a multiple of the BLAS unroll: BLAS rounds the trailing rows of a
+    block whose length is not one differently (blocks of 1 or 3 rows change
+    last bits), and then the grid maximum, and the bound, would depend on
+    where a block ends.  Only the grid's own last block is shorter.
     """
     rows = np.zeros((1, 0), dtype=np.int32)
     left = np.array([resolution], dtype=np.int32)  # not yet given to a part
@@ -243,8 +251,8 @@ def _grid_points(resolution: int, m: int) -> Iterable[np.ndarray]:
         rows = np.column_stack([np.repeat(rows, counts, axis=0), part])
         left = np.repeat(left, counts) - part
     rows = np.column_stack([rows, left])
-    for i in range(0, len(rows), 8192):
-        yield rows[i:i + 8192].astype(np.float64) / resolution
+    for i in range(0, len(rows), _GRID_BLOCK):
+        yield rows[i:i + _GRID_BLOCK].astype(np.float64) / resolution
 
 
 def certify_max_upper(p: Pattern, resolution: int) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from turangap.dominance import Composition, DownSet, compositions
 from turangap.patterns import Pattern, simple_pattern
+import turangap.simplex as sx
 
 
 def complete_pattern(r: int, m: int) -> Pattern:
@@ -151,8 +152,9 @@ def restrict(a: DownSet, j: int) -> DownSet:
 
 
 def grid_points_by_tuples(resolution: int, m: int) -> Iterator[np.ndarray]:
-    """Simplex grid {k / resolution} in 8192-row float64 batches, one Python
-    tuple per point, in the stars-and-bars order of the bar positions."""
+    """Simplex grid {k / resolution} in float64 batches of the library's
+    `_GRID_BLOCK` rows, one Python tuple per point, in the stars-and-bars
+    order of the bar positions."""
     batch: list[tuple[int, ...]] = []
     for bars in combinations(range(resolution + m - 1), m - 1):
         prev = -1
@@ -162,7 +164,7 @@ def grid_points_by_tuples(resolution: int, m: int) -> Iterator[np.ndarray]:
             prev = b
         parts.append(resolution + m - 2 - prev)
         batch.append(tuple(parts))
-        if len(batch) == 8192:
+        if len(batch) == sx._GRID_BLOCK:
             yield np.asarray(batch, dtype=np.float64) / resolution
             batch = []
     if batch:

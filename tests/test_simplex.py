@@ -1,6 +1,7 @@
 """Projection, gradients, the multi-start optimizer, and grid bounds."""
 
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import factorial
@@ -23,7 +24,8 @@ from turangap import (
     simple_pattern,
 )
 import turangap.simplex as sx
-from turangap.dominance import iter_down_sets, pattern_of
+from turangap.dominance import compositions, iter_down_sets, pattern_of
+from turangap.exact_ladder import _GRID_RESOLUTION
 from turangap.patterns import evaluate_batch
 from turangap.simplex import (
     _TOLERANCE,
@@ -221,6 +223,44 @@ def test_certify_max_upper_same_bound_over_tuple_grid(monkeypatch):
         assert [certify_max_upper(p, res) for p, res in patterns] == bounds
 
 
+# the (r, s) cases of the benchmark's lemma workload, all with s <= 4
+BENCH_LEMMA_CASES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3))
+
+
+def test_blocked_grid_bound_equals_whole_grid_bound():
+    # the blocked sweep must give the very float of one evaluation over the
+    # whole grid, for every family a lemma check certifies; and it warns
+    # exactly when its bound exceeds 1.25
+    for r, s in BENCH_LEMMA_CASES:
+        res = _GRID_RESOLUTION[s]
+        whole_grid = np.vstack(list(grid_points_by_tuples(res, s)))
+        for a in iter_down_sets(r, s):
+            p = pattern_of(a)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                bound = certify_max_upper(p, res)
+            want = (float(evaluate_batch(p, whole_grid).max())
+                    + p.r * float(p.coefficient_sum()) / res)
+            assert bound == want, (r, s, sorted(a.members))
+            assert len(caught) == (bound > 1.25)
+
+
+def test_grid_sweep_peak_memory_stays_small():
+    # a noise-free memory guard: the sweep converts and evaluates one block
+    # at a time, and numpy buffers are traced; the peak is about 2.3 MB
+    # here, against 12.1 MB for 8192-row blocks
+    p = pattern_of(DownSet(4, 4, frozenset(compositions(4, 4))))
+    assert len(p.monomials) == 35
+    with pytest.warns(UserWarning, match="too coarse"):
+        tracemalloc.start()
+        try:
+            certify_max_upper(p, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(starts=0)
@@ -364,13 +404,15 @@ DEGENERATE = pattern_of(DownSet(4, 3, frozenset({(2, 1, 1), (2, 2, 0)})))
 def _oracle_cases():
     """(pattern, config, warm starts): random patterns, the empty pattern,
     the degenerate r=4 s=3 family {(2,1,1), (2,2,0)} (thousands of steps
-    per start), a warm-started chain rung, and the symmetric K_5 pattern,
-    whose starts all climb to the same maximum 4/5."""
+    per start), that family again stopped at 7 steps while its starts still
+    ascend, a warm-started chain rung, and the symmetric K_5 pattern, whose
+    starts all climb to the same maximum 4/5."""
     rng = random.Random(47)
     cases = [(random_pattern(rng, r_max=4, m_max=6), OptimizerConfig(starts=12, seed=s), ())
              for s in range(10)]
     cases.append((Pattern(3, 4, ()), OptimizerConfig(starts=6), ()))
     cases.append((DEGENERATE, OptimizerConfig(starts=6, seed=1), ()))
+    cases.append((DEGENERATE, OptimizerConfig(starts=6, seed=1, max_iterations=7), ()))
     edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)]
     prev = maximize(simple_pattern(3, 5, edges[:-1]), OptimizerConfig(starts=10))
     cases.append((simple_pattern(3, 5, edges), OptimizerConfig(starts=10), [prev.point]))
@@ -409,7 +451,12 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
         assert np.array_equal(res.point, runs[res.start_index][0])
         if extra:
             assert res.value >= evaluate(p, extra[0]) - 1e-12
-        if p == DEGENERATE:
+        if p == DEGENERATE and config.max_iterations == 7:
+            # the cap, not convergence, stops these rows: they take an 8th step
+            capped = [x0 for x0, n in zip(starts, res.iterations) if n == 7]
+            assert len(capped) > 1
+            assert all(_ascend(p, x0, 8, _TOLERANCE)[2] == 8 for x0 in capped)
+        elif p == DEGENERATE:
             assert max(res.iterations) > 1000
     # the K_5 case really has tied starts for the tie-break to settle
     assert values.count(max(values)) > 1
