@@ -136,8 +136,8 @@ def monte_carlo_urns(
     balls, and h[k] <= r // k; so the mixed-radix key sum_k h[k] * w[k],
     with w[1] = 1 and w[k+1] = w[k] * (r // k + 1), is injective on the
     shapes and needs no sort.  Its largest value, w[r+1] - 1, fits in
-    int64 up to r = 35.  Each block's keys are matched to the shapes'
-    keys and added into one exact integer count per shape.
+    int64 up to r = 35.  One bincount of a block's urn-major indices urn * n
+    + row gives an (r, n) table whose rows sum to the keys, counted exactly.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -153,12 +153,14 @@ def monte_carlo_urns(
     sorted_keys = shape_keys[rank]
     counts = np.zeros(len(order), dtype=np.int64)  # indexed like sorted_keys
     rng = np.random.default_rng(seed)
+    row = np.arange(_MC_BLOCK)[:, None]
     for start in range(0, trials, _MC_BLOCK):
         n = min(_MC_BLOCK, trials - start)
         throws = rng.integers(0, r, size=(n, r))
-        flat = (throws + np.arange(0, n * r, r)[:, None]).ravel()
-        occ = np.bincount(flat, minlength=n * r).reshape(n, r)
-        keys = weights[occ].sum(axis=1)
+        throws *= n
+        throws += row[:n]
+        occ = np.bincount(throws.ravel(), minlength=r * n).reshape(r, n)
+        keys = weights[occ].sum(axis=0)
         counts += np.bincount(np.searchsorted(sorted_keys, keys), minlength=len(order))
     tally = np.empty_like(counts)
     tally[rank] = counts

@@ -1,7 +1,7 @@
 """Maximization of Lagrange polynomials over the probability simplex.
 
-Multi-start projected gradient ascent, with all starts ascending together as
-one (starts x m) array, provides lower bounds on the maximum.  A first-order
+Multi-start projected gradient ascent, with the live starts ascending together
+as one compact array, provides lower bounds on the maximum.  A first-order
 residual quantifies stationarity of the best point, and a simplex-grid sweep
 provides a rigorous upper bound in small dimension, so lower and upper
 routes can be cross-checked.
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+import operator
 import warnings
 
 import numpy as np
@@ -30,12 +31,12 @@ def project_to_simplex(v: Sequence[float]) -> np.ndarray:
         raise ValueError("expected a non-empty 1-d vector or a (k, m) batch")
     rows = vv.reshape(-1, vv.shape[-1])
     u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    positive = u - css / np.arange(1, rows.shape[1] + 1) > 0
-    # rho is the last index where the threshold condition holds
-    rho = rows.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    tau = css[np.arange(len(rows)), rho] / (rho + 1.0)
-    return np.maximum(vv - tau.reshape(vv.shape[:-1] + (1,)), 0.0)
+    q = (np.add.accumulate(u, axis=1) - 1.0) / np.arange(1.0, rows.shape[1] + 1)
+    # rho is the last index where u exceeds its threshold (cumsum - 1) / k; tau is q there
+    rho = (u > q)[:, ::-1].argmax(axis=1)
+    tau = q.ravel()[np.arange(rows.shape[1] - 1, q.size, rows.shape[1]) - rho]
+    out = vv - tau.reshape(vv.shape[:-1] + (1,))
+    return np.maximum(out, 0.0, out=out)
 
 
 def gradient(p: Pattern, x: Sequence[float]) -> np.ndarray:
@@ -73,12 +74,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        for name, low in (("starts", 1), ("max_iterations", 1), ("seed", 0)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError as exc:
+                raise ValueError(f"{name} must be an integer: {exc}") from exc
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,8 @@ def _start_points(
     fixed = np.vstack([np.full(m, 1.0 / m), np.eye(m)])[: config.starts]
     draws = _random_rows(m, len(fixed), config.starts, config.seed)
     warm = np.asarray(extra_starts, dtype=np.float64).reshape(-1, m)
-    if len(warm) != len(extra_starts):
-        raise ValueError(f"warm starts must have length m={m}")
+    if len(warm) != len(extra_starts) or not np.isfinite(warm).all():
+        raise ValueError(f"warm starts must be finite points of length m={m}")
     kinds = (["uniform"] + ["vertex"] * m)[: len(fixed)]
     kinds += ["random"] * len(draws) + ["warm"] * len(warm)
     return np.vstack([fixed, draws, warm]), kinds
@@ -148,22 +151,22 @@ def maximize(
     fixed point included, it stops without taking that step.  It also stops
     when no step size down to 1e-16 qualifies, or after max_iterations
     steps.  Its point is then cleaned: coordinates below SUPPORT_EPS are
-    zeroed and the rest re-projected inside that support face.
+    zeroed and the rest re-projected inside that support face.  Live rows
+    stay compact, each stopped one written back once; gradient and evaluate
+    get a full-size loop's batches row for row (BLAS rounding follows shape).
     """
     config = config or OptimizerConfig()
     starts, kinds = _start_points(p.m, config, extra_starts)
-    x = project_to_simplex(starts)
+    x = project_to_simplex(starts)  # rows still ascending
     f = evaluate(p, x)
     eta = np.ones(len(x))
-    iterations = np.zeros(len(x), dtype=np.int64)
-    live = np.arange(len(x))  # rows still ascending
-    for _ in range(config.max_iterations):
-        if not live.size:
-            break
-        g = gradient(p, x[live])
-        iterations[live] += 1
-        go_on = np.zeros(live.size, dtype=bool)
-        trying = np.arange(live.size)  # positions in live still backtracking
+    live = np.arange(len(x))  # start index of each row of x
+    done = np.empty_like(x)  # final points, by start index
+    iterations = np.full(len(x), config.max_iterations)
+    for it in range(config.max_iterations):
+        g = gradient(p, x)
+        go_on = np.zeros(len(x), dtype=bool)
+        trying = np.arange(len(x))  # rows still backtracking
         tries = 2
         while trying.size:
             # try the next step sizes eta, eta/2, ... of every backtracking
@@ -173,34 +176,38 @@ def maximize(
             # would.  The projected step only lengthens as eta grows (Calamai
             # and More, Math. Prog. 1987), so after a short one every smaller
             # step size would barely move either: the start has converged
-            rows = live[trying]
-            etas = eta[rows, None] * 0.5 ** np.arange(tries)
-            xr = x[rows, None, :]
-            cand = (xr + etas[..., None] * g[trying, None, :]).reshape(-1, p.m)
-            y = project_to_simplex(cand).reshape(len(rows), tries, p.m)
-            step = y - xr
+            every = trying.size == len(x)  # no gathers while every row tries
+            xr, gr, fr = (x, g, f) if every else (x[trying], g[trying], f[trying])
+            etas = (eta if every else eta[trying])[:, None] * 0.5 ** np.arange(tries)
+            cand = xr[:, None, :] + etas[..., None] * gr[:, None, :]
+            y = project_to_simplex(cand.reshape(-1, p.m))
+            step = y.reshape(cand.shape) - xr[:, None, :]
             moved = np.abs(step).max(axis=2)
-            fy = evaluate(p, y.reshape(-1, p.m)).reshape(moved.shape)
+            fy = evaluate(p, y).reshape(moved.shape)
             # Armijo condition on the projection arc; the inner product is
             # positive whenever the projected step moves
-            armijo = fy - f[rows, None] >= 1e-4 * (step * g[trying, None, :]).sum(axis=2)
-            stop = ((moved < _TOLERANCE) | armijo) & (etas >= 1e-16)
-            hit = stop.any(axis=1)
-            pick = (np.arange(len(rows)), stop.argmax(axis=1))
-            eta[rows] = np.where(hit, etas[pick], etas[:, -1] * 0.5)
-            took = hit & (moved[pick] >= _TOLERANCE)
-            x[rows[took]] = y[pick][took]
-            f[rows[took]] = fy[pick][took]
-            go_on[trying[took]] = True
-            trying = trying[~hit & (eta[rows] >= 1e-16)]
+            armijo = fy - fr[:, None] >= 1e-4 * (step * gr[:, None, :]).sum(axis=2)
+            stop = (armijo | (moved < _TOLERANCE)) & (etas >= 1e-16)
+            pick = np.arange(0, stop.size, tries) + stop.argmax(axis=1)  # flat index
+            hit = stop.ravel()[pick]
+            eta[trying] = step_size = np.where(hit, etas.ravel()[pick], etas[:, -1] * 0.5)
+            took = hit & (moved.ravel()[pick] >= _TOLERANCE)
+            moving, pick = trying[took], pick[took]
+            x[moving], f[moving], go_on[moving] = y[pick], fy.ravel()[pick], True
+            trying = trying[~hit & (step_size >= 1e-16)]
             tries *= 8
-        live = live[go_on]
-        eta[live] = np.minimum(eta[live] * 2.0, 1e6)
-    x[x < SUPPORT_EPS] = 0.0
+        if not go_on.all():
+            done[live[~go_on]], iterations[live[~go_on]] = x[~go_on], it + 1
+            x, f, eta, live = x[go_on], f[go_on], eta[go_on], live[go_on]
+            if not live.size:
+                break
+        np.minimum(eta * 2.0, 1e6, out=eta)
+    done[live] = x
+    done[done < SUPPORT_EPS] = 0.0
     # re-project inside each support face, not the full simplex, which would
     # smear the removed mass back onto the zeroed coordinates: entered as -1,
     # below the threshold tau (about 0), they stay 0 and drop out of tau
-    x = project_to_simplex(np.where(x > 0.0, x, -1.0))
+    x = project_to_simplex(np.where(done > 0.0, done, -1.0))
     f = evaluate(p, x)
     best = int(np.argmax(f))  # argmax takes the first, lowest-index maximum
     return OptResult(

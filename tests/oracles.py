@@ -10,7 +10,8 @@ by tests that check down-closure survives it.  The complete pattern K_m and
 random patterns with repeated elements are test fixtures.  The
 tuple-by-tuple simplex grid checks the numpy grid of `certify_max_upper`,
 and the Fraction sampling loop checks the integer-numerator minimum of
-`bunching_verify`.
+`bunching_verify`.  The full-size batched ascent, with its own projection,
+checks `maximize` bit for bit.
 """
 
 import random
@@ -189,3 +190,75 @@ def bunching_sample_min_fractions(r: int, h2: int, samples: int, seed: int) -> F
             sample_min = val
     assert sample_min is not None
     return sample_min
+
+
+def project_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort-based simplex projection of each row of a (k, m) batch, with
+    integer divisors and the threshold test u - css / k > 0."""
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    positive = u - css / np.arange(1, rows.shape[1] + 1) > 0
+    rho = rows.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    tau = css[np.arange(len(rows)), rho] / (rho + 1.0)
+    return np.maximum(rows - tau[:, None], 0.0)
+
+
+def full_size_maximize(p: Pattern, config: sx.OptimizerConfig,
+                       extra_starts=()) -> sx.OptResult:
+    """`maximize` over full-size (starts x m) arrays: every iteration gathers
+    the live rows by index, and every round the backtracking ones.
+
+    It hands `sx.gradient` and `sx.evaluate` the same rows, in the same order
+    and batch shapes, as the library's compact loop, so under the same BLAS
+    every float of the result must be the same.
+    """
+    starts, kinds = sx._start_points(p.m, config, extra_starts)
+    x = project_rows(starts)
+    f = sx.evaluate(p, x)
+    eta = np.ones(len(x))
+    iterations = np.zeros(len(x), dtype=np.int64)
+    live = np.arange(len(x))
+    for _ in range(config.max_iterations):
+        if not live.size:
+            break
+        g = sx.gradient(p, x[live])
+        iterations[live] += 1
+        go_on = np.zeros(live.size, dtype=bool)
+        trying = np.arange(live.size)
+        tries = 2
+        while trying.size:
+            rows = live[trying]
+            etas = eta[rows, None] * 0.5 ** np.arange(tries)
+            xr = x[rows, None, :]
+            cand = (xr + etas[..., None] * g[trying, None, :]).reshape(-1, p.m)
+            y = project_rows(cand).reshape(len(rows), tries, p.m)
+            step = y - xr
+            moved = np.abs(step).max(axis=2)
+            fy = sx.evaluate(p, y.reshape(-1, p.m)).reshape(moved.shape)
+            armijo = fy - f[rows, None] >= 1e-4 * (step * g[trying, None, :]).sum(axis=2)
+            stop = ((moved < sx._TOLERANCE) | armijo) & (etas >= 1e-16)
+            hit = stop.any(axis=1)
+            pick = (np.arange(len(rows)), stop.argmax(axis=1))
+            eta[rows] = np.where(hit, etas[pick], etas[:, -1] * 0.5)
+            took = hit & (moved[pick] >= sx._TOLERANCE)
+            x[rows[took]] = y[pick][took]
+            f[rows[took]] = fy[pick][took]
+            go_on[trying[took]] = True
+            trying = trying[~hit & (eta[rows] >= 1e-16)]
+            tries *= 8
+        live = live[go_on]
+        eta[live] = np.minimum(eta[live] * 2.0, 1e6)
+    x[x < sx.SUPPORT_EPS] = 0.0
+    x = project_rows(np.where(x > 0.0, x, -1.0))
+    f = sx.evaluate(p, x)
+    best = int(np.argmax(f))
+    return sx.OptResult(
+        value=float(f[best]),
+        point=x[best],
+        kkt_residual=sx.kkt_residual(p, x[best]),
+        starts_used=len(x),
+        seed=config.seed,
+        start_index=best,
+        start_kind=kinds[best],
+        iterations=tuple(iterations.tolist()),
+    )

@@ -23,6 +23,7 @@ from turangap import (
     maximize,
     simple_pattern,
 )
+import turangap.chain as chain_module
 import turangap.simplex as sx
 from turangap.dominance import compositions, iter_down_sets, pattern_of
 from turangap.exact_ladder import _GRID_RESOLUTION
@@ -37,7 +38,7 @@ from turangap.simplex import (
     project_to_simplex,
 )
 
-from oracles import complete_pattern, grid_points_by_tuples, random_pattern
+from oracles import complete_pattern, full_size_maximize, grid_points_by_tuples, random_pattern
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
 
@@ -266,6 +267,30 @@ def test_optimizer_config_validation():
         OptimizerConfig(starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
+    with pytest.raises(ValueError):
+        OptimizerConfig(max_iterations=0)
+    # a non-integer fails at construction, not later in a slice or a seed
+    for field in ("starts", "max_iterations", "seed"):
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                OptimizerConfig(**{field: bad})
+
+
+def test_optimizer_config_normalizes_integer_likes():
+    config = OptimizerConfig(starts=np.int64(3), max_iterations=np.uint8(9), seed=np.int32(7))
+    assert (config.starts, config.max_iterations, config.seed) == (3, 9, 7)
+    assert all(type(v) is int for v in (config.starts, config.max_iterations, config.seed))
+    assert config == OptimizerConfig(starts=3, max_iterations=9, seed=7)
+    assert len(maximize(SINGLE_EDGE_3, config).iterations) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_warm_start_is_rejected(bad):
+    warm = [0.5, bad, 0.5]
+    with pytest.raises(ValueError, match="finite"):
+        _start_points(3, OptimizerConfig(starts=2), [warm])
+    with pytest.raises(ValueError, match="finite"):
+        maximize(SINGLE_EDGE_3, OptimizerConfig(starts=2), extra_starts=[[1 / 3] * 3, warm])
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +495,39 @@ def test_maximize_matches_best_oracle_value():
                    for x0 in starts)
         assert abs(res.value - best) <= 1e-12
         assert res.value == pytest.approx(evaluate(p, res.point), abs=1e-15)
+
+
+# the (r, s) cases of the benchmark's lemma workload: 36 down-set families
+BENCH_LEMMA_CASES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3))
+
+
+def _fields(res):
+    return (res.value, res.point.tobytes(), res.kkt_residual, res.starts_used,
+            res.seed, res.start_index, res.start_kind, res.iterations)
+
+
+def test_maximize_equals_the_full_size_loop_bit_for_bit(monkeypatch):
+    # with the real primitives, whose BLAS sums round by batch shape: the
+    # compact loop must hand gradient and evaluate the very batches of the
+    # full-size one, so every field of every result is the same
+    families = [pattern_of(a) for r, s in BENCH_LEMMA_CASES for a in iter_down_sets(r, s)]
+    assert len(families) == 36
+    calls = [(p, OptimizerConfig(seed=seed), ()) for seed in (0, 7) for p in families]
+    calls += _oracle_cases()
+    results = [maximize(p, config, extra) for p, config, extra in calls]
+
+    def record(p, config, extra_starts):
+        calls.append((p, config, extra_starts))
+        results.append(maximize(p, config, extra_starts))
+        return results[-1]
+
+    monkeypatch.setattr(chain_module, "maximize", record)
+    for r, m in ((3, 7), (4, 6), (5, 8)):
+        build_chain_ladder(ChainConfig(r, m))  # every optimizer rung, warm-started
+    # one warm-started oracle case, then 10, 7 and 31 optimizer rungs
+    assert sum(1 for _, _, extra in calls if len(extra)) == 1 + 10 + 7 + 31
+    for (p, config, extra), res in zip(calls, results):
+        assert _fields(res) == _fields(full_size_maximize(p, config, extra))
 
 
 def test_bench_chains_stay_within_their_projection_budget(monkeypatch):
