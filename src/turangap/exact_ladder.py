@@ -138,6 +138,12 @@ def monte_carlo_urns(
     shapes and needs no sort.  Its largest value, w[r+1] - 1, fits in
     int64 up to r = 35.  One bincount of a block's urn-major indices urn * n
     + row gives an (r, n) table whose rows sum to the keys, counted exactly.
+
+    Keys become slots among the sorted shape keys by a flat table, indexed
+    by key, when its largest key + 1 entries fit in _MC_BLOCK * r; that
+    holds for r <= 10 (38017 entries at r = 10) and keeps the memory bound.
+    For 11 <= r <= 35 the table would outgrow it (524161 entries at r = 12),
+    so a binary search over the sorted shape keys finds the slots instead.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -151,6 +157,12 @@ def monte_carlo_urns(
     shape_keys = np.array([sum(w[v] for v in comp) for comp in order], dtype=np.int64)
     rank = np.argsort(shape_keys)
     sorted_keys = shape_keys[rank]
+    if sorted_keys[-1] < _MC_BLOCK * r:  # the key -> slot table fits the bound
+        table = np.zeros(sorted_keys[-1] + 1, dtype=np.intp)
+        table[sorted_keys] = np.arange(len(order))
+        slots = table.take
+    else:
+        slots = sorted_keys.searchsorted
     counts = np.zeros(len(order), dtype=np.int64)  # indexed like sorted_keys
     rng = np.random.default_rng(seed)
     row = np.arange(_MC_BLOCK)[:, None]
@@ -160,8 +172,8 @@ def monte_carlo_urns(
         throws *= n
         throws += row[:n]
         occ = np.bincount(throws.ravel(), minlength=r * n).reshape(r, n)
-        keys = weights[occ].sum(axis=0)
-        counts += np.bincount(np.searchsorted(sorted_keys, keys), minlength=len(order))
+        keys = weights.take(occ).sum(axis=0)
+        counts += np.bincount(slots(keys), minlength=len(order))
     tally = np.empty_like(counts)
     tally[rank] = counts
     return {comp: c / trials for comp, c in zip(order, tally.tolist())}
@@ -174,14 +186,17 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
     gives P(n*KL(F||p) >= t) <= 2*exp(-t) over both tails, so a union bound
     over the shapes makes a correct sampler exceed log(2K/alpha) with
     probability at most _MC_ALPHA.  Each shape's n*KL score is kept.
-    Raises ValueError unless trials >= 1 and the keys of freq are exactly
-    the K = len(linear_extension(r)) shapes: a table missing shapes would
-    shrink K and with it the limit.
+    Raises ValueError unless trials >= 1, the keys of freq are exactly
+    the K = len(linear_extension(r)) shapes (a table missing shapes would
+    shrink K and with it the limit), and every frequency lies in [0, 1]
+    (a NaN one would score 0, as kl skips it).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if freq.keys() != set(linear_extension(r)):
         raise ValueError(f"frequency table keys are not the compositions of r={r}")
+    if not all(0 <= f <= 1 for f in freq.values()):  # also false for NaN
+        raise ValueError("frequencies must be finite and in [0, 1]")
 
     def kl(f: float, p: float) -> float:  # Bernoulli relative entropy, 0 log 0 = 0
         return sum(a * log(a / b) for a, b in ((f, p), (1 - f, 1 - p)) if a > 0)

@@ -186,7 +186,9 @@ def test_monte_carlo_deterministic_and_complete():
     [(3, 2000, 7), (8, 20000, 1), (17, 3000, 2), (35, 300, 0),
      # trial counts at the edges of the blocks monte_carlo_urns draws in
      (3, _MC_BLOCK - 1, 0), (3, _MC_BLOCK, 0), (3, _MC_BLOCK + 1, 0),
-     (8, 2 * _MC_BLOCK + 1, 4)],
+     (8, 2 * _MC_BLOCK + 1, 4),
+     # r = 10 has the largest key -> slot table, r = 11 the first binary search
+     (10, 20000, 5), (11, 2 * _MC_BLOCK + 1, 6)],
 )
 def test_monte_carlo_tally_matches_plain_oracle(r, trials, seed):
     # r = 35 is the largest r whose histogram keys fit in int64, where a
@@ -201,13 +203,14 @@ def test_monte_carlo_tally_matches_plain_oracle(r, trials, seed):
 
 
 def test_monte_carlo_memory_is_bounded():
-    tracemalloc.start()
-    try:
-        monte_carlo_urns(8, 300_000, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    for r in (8, 10):  # r = 10 builds the largest key -> slot table
+        tracemalloc.start()
+        try:
+            monte_carlo_urns(r, 300_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (r, peak)
 
 
 def test_monte_carlo_validation():
@@ -265,6 +268,16 @@ def test_verdict_rejects_a_table_missing_shapes():
         mc_verdict(freq | {(7, 0, 0, 0, 0, 0): 0.0}, 10_000, 6)
     with pytest.raises(ValueError, match="not the compositions of r=5"):
         mc_verdict(freq, 10_000, 5)
+
+
+def test_verdict_rejects_frequencies_outside_0_1():
+    # kl skips a term unless its frequency is > 0, so NaN would score 0
+    freq = monte_carlo_urns(4, 1000, 0)
+    with pytest.raises(ValueError, match="finite and in \\[0, 1\\]"):
+        mc_verdict(dict.fromkeys(freq, float("nan")), 1000, 4)
+    for bad in (-0.5, 1.5, float("inf")):
+        with pytest.raises(ValueError, match="finite and in \\[0, 1\\]"):
+            mc_verdict(freq | {(4, 0, 0, 0): bad}, 1000, 4)
 
 
 def test_verdict_rejects_zero_trials():
