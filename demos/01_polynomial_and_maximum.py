@@ -9,7 +9,6 @@ polynomial's maximum over the probability simplex.
 import numpy as np
 
 from turangap import (
-    OptimizerConfig,
     Pattern,
     certificate,
     evaluate,
@@ -30,7 +29,7 @@ print(f"\nvalue at (1/2, 1/2, 0): {evaluate(pattern, x)}")
 print(f"same point, exact arithmetic: {evaluate_exact(pattern, (0.5, 0.5, 0.0))}")
 
 # multi-start projected gradient ascent with a KKT certificate
-res = maximize(pattern, OptimizerConfig(starts=24, seed=0))
+res = maximize(pattern, seed=0)
 print(f"\nmaximum over the simplex: {res.value:.12f}  (4/9 = {4 / 9:.12f})")
 print(f"argmax: ({', '.join(f'{v:.6f}' for v in res.point)})")
 print(f"kkt residual: {res.kkt_residual:.3e}")

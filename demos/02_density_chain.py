@@ -14,16 +14,9 @@ optimizer rung ended at a stationary point (KKT residual at most 1e-6).
 
 from math import comb
 
-from turangap import (
-    ChainConfig,
-    OptimizerConfig,
-    build_chain_ladder,
-    minimal_m,
-    verify_gap_bound,
-)
+from turangap import build_chain_ladder, minimal_m, verify_gap_bound
 
-config = ChainConfig(r=3, m=6, opt=OptimizerConfig(starts=24, seed=0))
-lad = build_chain_ladder(config)
+lad = build_chain_ladder(3, 6, order="colex", seed=0)
 
 print(f"{comb(6, 3)} edges inserted, {len(lad.values)} ladder rungs")
 print(f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}\n")
@@ -44,4 +37,4 @@ print(f"every check passed: {gap.ok}")
 # 6 vertices cannot push the density past 1 - 2/9; that takes m >= 13
 print(f"\ntop value {lad.exact_values[-1]} vs threshold {1 - gap.bound:.6f}")
 print(f"smallest m whose complete density crosses it: {minimal_m(3)}")
-print("rerun with ChainConfig(3, 13, ...) to watch the crossing (a few seconds)")
+print("rerun with build_chain_ladder(3, 13) to watch the crossing (a few seconds)")

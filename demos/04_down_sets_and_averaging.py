@@ -44,7 +44,7 @@ print(f"  passed: {rep.passed}")
 print("\ngrouped averaging coefficients, r=4:")
 for h2 in bunching_indices(4):
     h = Fraction(h2, 2)
-    rep = bunching_verify(4, h, samples=200, seed=0)
+    rep = bunching_verify(4, h, seed=0)
     total = sum((c for _, c in rep.coefficients), Fraction(0))
     print(f"  window h={h}: zero sum {total == 0}, "
           f"signs ok {rep.inside_ok and rep.outside_ok}, "

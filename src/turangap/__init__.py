@@ -16,7 +16,7 @@ from .patterns import (
     evaluate_exact,
     simple_pattern,
 )
-from .simplex import OptimizerConfig, certificate, maximize
+from .simplex import certificate, maximize
 from .dominance import (
     DownSet,
     bunching_indices,
@@ -34,18 +34,11 @@ from .exact_ladder import (
     uniform_value_exact,
     verify_lemma,
 )
-from .chain import (
-    ChainConfig,
-    build_chain_ladder,
-    minimal_m,
-    verify_gap_bound,
-)
+from .chain import build_chain_ladder, minimal_m, verify_gap_bound
 
 __all__ = [
     "BlowupSpec",
-    "ChainConfig",
     "DownSet",
-    "OptimizerConfig",
     "Pattern",
     "blow_up",
     "blowup_density_check",

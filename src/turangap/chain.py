@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
 from .patterns import simple_pattern
-from .simplex import OptimizerConfig, kkt_residual, maximize
+from .simplex import _check_seed, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step check
 _KKT_BOUND = 1e-6  # largest first-order residual an optimizer rung may keep
@@ -64,25 +64,13 @@ def edge_enumeration(
 
 
 @dataclass(frozen=True)
-class ChainConfig:
+class ChainLadder:
+    """Certified values along one chain of r-sets on m vertices, index i
+    holding the i-edge pattern.  ``exact_values[i]`` is the closed-form
+    value, 0 at rung 0, None where the optimizer ran."""
+
     r: int
     m: int
-    edge_order: str = "colex"
-    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.r <= self.m:
-            raise ValueError(f"need 2 <= r <= m, got r={self.r}, m={self.m}")
-
-
-@dataclass(frozen=True)
-class ChainLadder:
-    """Certified values along one chain, index i holding the i-edge pattern.
-
-    ``exact_values[i]`` is the closed-form value, 0 at rung 0, None where
-    the optimizer ran."""
-
-    config: ChainConfig
     edges: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
     exact_values: tuple[Fraction | None, ...]
@@ -130,14 +118,16 @@ def _closed_form(
     return Fraction(factorial(r) * comb(s, r), s**r), point
 
 
-def build_chain_ladder(config: ChainConfig) -> ChainLadder:
-    """Value of every prefix pattern: a closed form where one applies, else
-    ``maximize`` warm-started from the previous rung's point, which keeps the
-    values monotone up to float rounding.  Rung 1 (one r-set, so K_r) is
-    always closed-form.  Every KKT residual is computed at the rung's point.
+def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> ChainLadder:
+    """Value of every prefix pattern of the r-sets on m vertices, in
+    ``edge_enumeration`` order: a closed form where one applies, else
+    ``maximize`` from the seed, warm-started from the previous rung's point,
+    which keeps the values monotone up to float rounding.  Rung 1 (one
+    r-set, so K_r) is always closed-form.  Every KKT residual is computed at
+    the rung's point.  A bad argument raises before any rung is built.
     """
-    r, m = config.r, config.m
-    edges = edge_enumeration(m, r, config.edge_order, config.opt.seed)
+    seed = _check_seed(seed)
+    edges = edge_enumeration(m, r, order, seed)
     values = [0.0]
     exact: list[Fraction | None] = [Fraction(0)]
     points = [tuple([1.0 / m] * m)]
@@ -146,7 +136,7 @@ def build_chain_ladder(config: ChainConfig) -> ChainLadder:
         pattern = simple_pattern(r, m, edges[:k])
         closed = _closed_form(r, m, edges[:k])
         if closed is None:
-            res = maximize(pattern, config.opt, extra_starts=[points[-1]])
+            res = maximize(pattern, seed, extra_starts=[points[-1]])
             value, point, kkt = res.value, tuple(res.point.tolist()), res.kkt_residual
         else:
             value, point = float(closed[0]), closed[1]
@@ -156,7 +146,8 @@ def build_chain_ladder(config: ChainConfig) -> ChainLadder:
         points.append(point)
         kkts.append(kkt)
     return ChainLadder(
-        config=config,
+        r=r,
+        m=m,
         edges=edges,
         values=tuple(values),
         exact_values=tuple(exact),
@@ -203,7 +194,7 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
     most a, and b - a is at most step i.  Once ``steps_ok`` holds, no gap on
     the value axis exceeds r!/r^r + _STEP_SLACK.
     """
-    r = lad.config.r
+    r = lad.r
     bound = factorial(r) / r**r
     step_viol, mono_viol, triggered, near_viol = [], [], [], []
     for i, s in enumerate(lad.steps, start=1):
@@ -217,7 +208,7 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
                 near_viol.append(i)
     return GapReport(
         r=r,
-        m=lad.config.m,
+        m=lad.m,
         bound=bound,
         step_violations=tuple(step_viol),
         monotone_violations=tuple(mono_viol),

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .chain import (
-    ChainConfig,
-    build_chain_ladder,
-    minimal_m,
-    verify_gap_bound,
-)
+from .chain import build_chain_ladder, minimal_m, verify_gap_bound
 from .dominance import (
     bunching_verify,
     downset_to_dict,
@@ -58,7 +53,7 @@ from .patterns import (
     load_pattern,
     pattern_to_dict,
 )
-from .simplex import OptimizerConfig, certificate, maximize
+from .simplex import _check_seed, certificate, maximize
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def _frac_str(f: Fraction) -> str:
 
 def _handle_lagrangian(args) -> Result:
     pattern = load_pattern(args.pattern)
-    res = maximize(pattern, OptimizerConfig(seed=args.seed))
+    res = maximize(pattern, args.seed)
     point = " ".join(f"{v:.17g}" for v in res.point)
     table = (
         ["value", "kkt_residual", "starts", "seed", "point"],
@@ -138,8 +133,7 @@ def _handle_lagrangian(args) -> Result:
 
 def _handle_chain(args) -> Result:
     r, m = args.r, args.m
-    config = ChainConfig(r=r, m=m, edge_order=args.order, opt=OptimizerConfig(seed=args.seed))
-    lad = build_chain_ladder(config)
+    lad = build_chain_ladder(r, m, args.order, args.seed)
     gap = verify_gap_bound(lad)
     steps = (0.0,) + lad.steps
     rows = [
@@ -240,8 +234,7 @@ def _handle_lemma_check(args) -> Result:
     else:
         sets = list(iter_down_sets(args.r, args.s))
         inputs = {}
-    opt = OptimizerConfig(seed=args.seed)
-    reports = [verify_lemma(a, opt) for a in sets]
+    reports = [verify_lemma(a, args.seed) for a in sets]
     rows = []
     summary = [f"lemma-check r={args.r} s={args.s}: {len(reports)} down-closed families"]
     for rep in reports:
@@ -286,7 +279,7 @@ def _handle_lemma_check(args) -> Result:
 
 def _handle_bunching(args) -> Result:
     h = Fraction(args.h)
-    report = bunching_verify(args.r, h, seed=args.seed)
+    report = bunching_verify(args.r, h, args.seed)
     rows = []
     summary = [f"bunching r={args.r} h={h}: grouped coefficients"]
     for j2, coeff in report.coefficients:
@@ -336,10 +329,17 @@ def _handle_minimal_m(args) -> Result:
 
 def _add_common(sub, seed=True):
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="machine-readable artifact format (default csv)")
     sub.add_argument("--out", default=".", help="artifact directory (default .)")
+
+
+def _seed(text: str) -> int:
+    try:
+        return _check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
 
 def _fraction(text: str) -> str:

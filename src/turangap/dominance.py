@@ -24,6 +24,8 @@ from .patterns import Pattern, json_int
 
 Composition = tuple[int, ...]
 
+_SAMPLES = 1000  # sample points of a bunching audit's spot check
+
 
 def compositions(r: int, s: int) -> tuple[Composition, ...]:
     """All non-increasing s-tuples of non-negative integers summing to r.
@@ -245,20 +247,19 @@ def bunching_indices(r: int) -> tuple[int, ...]:
     return tuple(range(r % 2, r + 1, 2))
 
 
-def bunching_verify(r: int, h, samples: int = 1000, seed: int = 0) -> BunchingReport:
+def bunching_verify(r: int, h, seed: int = 0) -> BunchingReport:
     """Audit the averaging inequality at layer bound h (possibly half-integer).
 
     With k = r/2 and translate set I_h = (Z + k) intersected with [-h, h],
     the inequality is sum over i in I_h of C(2k, k+i) (((x+y)/2)^(2k)
     - x^(k+i) y^(k-i)) >= 0 for x, y >= 0.  All indices are doubled
-    internally; coefficients are exact Fractions.  The sample points
-    (px/1000, py/1000) are drawn with px, py uniform in 0..5000; at each, the
-    left side times 2^r * 1000^r is the integer L (px+py)^r - 2^r sum over
-    the window of C(2k, k+i) px^(k+i) py^(k-i), with L the window's binomial
-    sum, so the sampled minimum is exact.
+    internally; coefficients are exact Fractions.  The _SAMPLES (1000)
+    sample points (px/1000, py/1000) are drawn from the seed, px and py
+    uniform in 0..5000; at each, the left side times 2^r * 1000^r is the
+    integer L (px+py)^r - 2^r sum over the window of C(2k, k+i)
+    px^(k+i) py^(k-i), with L the window's binomial sum, so the sampled
+    minimum is exact.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     h2 = _doubled_index(h, "h")
     valid = bunching_indices(r)
     if h2 not in valid:
@@ -286,7 +287,7 @@ def bunching_verify(r: int, h, samples: int = 1000, seed: int = 0) -> BunchingRe
 
     # val * 2^r * 1000^r at x = px/1000, y = py/1000, an exact integer
     terms = [(comb(r, (r + i2) // 2), (r + i2) // 2) for i2 in window]
-    grid = np.random.default_rng(seed).integers(0, 5001, size=(samples, 2))
+    grid = np.random.default_rng(seed).integers(0, 5001, size=(_SAMPLES, 2))
     scaled_min = min(
         layer_sum * (px + py) ** r - 2**r * sum(b * px**a * py ** (r - a) for b, a in terms)
         for px, py in grid.tolist()
@@ -299,6 +300,6 @@ def bunching_verify(r: int, h, samples: int = 1000, seed: int = 0) -> BunchingRe
         outside_ok=outside_ok,
         zero_sum_ok=(total == 0),
         sample_min=Fraction(scaled_min, 2**r * 1000**r),
-        samples=samples,
+        samples=_SAMPLES,
         seed=seed,
     )

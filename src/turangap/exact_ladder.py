@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dominance import Composition, DownSet, linear_extension, pattern_of
-from .simplex import OptResult, OptimizerConfig, certify_max_upper, maximize
+from .simplex import certify_max_upper, maximize
 
 _MC_BLOCK = 1 << 12  # Monte Carlo rows drawn and tallied at a time
 _MC_ALPHA = 1e-6  # false-alarm rate of one mc_verdict, over all its shapes
@@ -229,8 +229,9 @@ class LemmaReport:
 _GRID_RESOLUTION = {1: 800, 2: 800, 3: 200, 4: 60}
 
 
-def verify_lemma(a: DownSet, opt: OptimizerConfig | None = None) -> LemmaReport:
-    """Optimize the pattern of a and compare with the exact uniform value.
+def verify_lemma(a: DownSet, seed: int = 0) -> LemmaReport:
+    """Optimize the pattern of a from the seed and compare with the exact
+    uniform value.
 
     The optimizer value must land in [u - 1e-9, u + 1e-6]; the lower side
     is unconditional because the uniform point is always among the starts.
@@ -240,7 +241,7 @@ def verify_lemma(a: DownSet, opt: OptimizerConfig | None = None) -> LemmaReport:
     """
     u = uniform_value_exact(a)
     p = pattern_of(a)
-    res: OptResult = maximize(p, opt)
+    res = maximize(p, seed)
     lower_ok = res.value >= float(u) - 1e-9
     upper_ok = res.value <= float(u) + 1e-6
     grid_bound = None

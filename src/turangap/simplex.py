@@ -20,6 +20,8 @@ from .patterns import Pattern, evaluate, evaluate_batch, pattern_to_dict
 
 SUPPORT_EPS = 1e-14
 _TOLERANCE = 1e-12  # a candidate step moving less than this ends its start, untaken
+_STARTS = 50  # starts per maximize: the uniform point, the m vertices, random draws
+_MAX_ITERATIONS = 5000  # gradient steps a start may take
 _GRID_BLOCK = 1024  # grid rows per evaluate_batch call in certify_max_upper
 
 
@@ -68,23 +70,6 @@ def kkt_residual(p: Pattern, x: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    starts: int = 50
-    max_iterations: int = 5000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name, low in (("starts", 1), ("max_iterations", 1), ("seed", 0)):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError as exc:
-                raise ValueError(f"{name} must be an integer: {exc}") from exc
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
 class OptResult:
     """Best point over all starts, with which start won and how long each ran.
 
@@ -119,16 +104,28 @@ def _random_rows(m: int, first: int, starts: int, seed: int) -> np.ndarray:
     return rows
 
 
+def _check_seed(seed) -> int:
+    """The seed as a plain int; ValueError unless it is a non-negative integer."""
+    try:
+        value = operator.index(seed)
+    except TypeError as exc:
+        raise ValueError(f"seed must be an integer: {exc}") from exc
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _start_points(
-    m: int, config: OptimizerConfig, extra_starts: Sequence[Sequence[float]]
+    m: int, seed: int, extra_starts: Sequence[Sequence[float]]
 ) -> tuple[np.ndarray, list[str]]:
-    """Uniform point, vertices, then seeded random draws; warm starts last.
+    """Uniform point, vertices, then seeded random draws, _STARTS rows in
+    all; warm starts last.
 
     The uniform point is always kept.  Returns the start rows (not yet
     projected) and their kinds.
     """
-    fixed = np.vstack([np.full(m, 1.0 / m), np.eye(m)])[: config.starts]
-    draws = _random_rows(m, len(fixed), config.starts, config.seed)
+    fixed = np.vstack([np.full(m, 1.0 / m), np.eye(m)])[:_STARTS]
+    draws = _random_rows(m, len(fixed), _STARTS, seed)
     warm = np.asarray(extra_starts, dtype=np.float64).reshape(-1, m)
     if len(warm) != len(extra_starts) or not np.isfinite(warm).all():
         raise ValueError(f"warm starts must be finite points of length m={m}")
@@ -138,32 +135,33 @@ def _start_points(
 
 
 def maximize(
-    p: Pattern,
-    config: OptimizerConfig | None = None,
-    extra_starts: Sequence[Sequence[float]] = (),
+    p: Pattern, seed: int = 0, extra_starts: Sequence[Sequence[float]] = ()
 ) -> OptResult:
     """Best simplex point over all starts; ties go to the lowest start index.
 
-    Every start runs projected gradient ascent with its own Armijo step size
-    eta (halved down to 1e-16 on a failed step, doubled up to 1e6 after an
-    accepted one).  A start takes its first step size that passes Armijo or
-    moves no coordinate by _TOLERANCE; in the second case, a projection
-    fixed point included, it stops without taking that step.  It also stops
-    when no step size down to 1e-16 qualifies, or after max_iterations
-    steps.  Its point is then cleaned: coordinates below SUPPORT_EPS are
-    zeroed and the rest re-projected inside that support face.  Live rows
-    stay compact, each stopped one written back once; gradient and evaluate
-    get a full-size loop's batches row for row (BLAS rounding follows shape).
+    The _STARTS (50) starts are the uniform point, the vertices and random
+    points drawn from the seed, a non-negative integer (else ValueError);
+    extra_starts follow them.  Every start runs projected gradient ascent
+    with its own Armijo step size eta (halved down to 1e-16 on a failed
+    step, doubled up to 1e6 after an accepted one).  A start takes its first
+    step size that passes Armijo or moves no coordinate by _TOLERANCE; in
+    the second case, a projection fixed point included, it stops without
+    taking that step.  It also stops when no step size down to 1e-16
+    qualifies, or after _MAX_ITERATIONS (5000) steps.  Its point is then
+    cleaned: coordinates below SUPPORT_EPS are zeroed and the rest
+    re-projected inside that support face.  Live rows stay compact, each
+    stopped one written back once; gradient and evaluate get a full-size
+    loop's batches row for row (BLAS rounding follows shape).
     """
-    config = config or OptimizerConfig()
-    starts, kinds = _start_points(p.m, config, extra_starts)
+    seed = _check_seed(seed)
+    starts, kinds = _start_points(p.m, seed, extra_starts)
     x = project_to_simplex(starts)  # rows still ascending
     f = evaluate(p, x)
     eta = np.ones(len(x))
     live = np.arange(len(x))  # start index of each row of x
     done = np.empty_like(x)  # final points, by start index
-    iterations = np.full(len(x), config.max_iterations)
-    for it in range(config.max_iterations):
+    iterations = np.full(len(x), _MAX_ITERATIONS)
+    for it in range(_MAX_ITERATIONS):
         g = gradient(p, x)
         go_on = np.zeros(len(x), dtype=bool)
         trying = np.arange(len(x))  # rows still backtracking
@@ -215,7 +213,7 @@ def maximize(
         point=x[best],
         kkt_residual=kkt_residual(p, x[best]),
         starts_used=len(x),
-        seed=config.seed,
+        seed=seed,
         start_index=best,
         start_kind=kinds[best],
         iterations=tuple(iterations.tolist()),

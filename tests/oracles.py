@@ -203,22 +203,22 @@ def project_rows(rows: np.ndarray) -> np.ndarray:
     return np.maximum(rows - tau[:, None], 0.0)
 
 
-def full_size_maximize(p: Pattern, config: sx.OptimizerConfig,
-                       extra_starts=()) -> sx.OptResult:
+def full_size_maximize(p: Pattern, seed: int, extra_starts=()) -> sx.OptResult:
     """`maximize` over full-size (starts x m) arrays: every iteration gathers
     the live rows by index, and every round the backtracking ones.
 
     It hands `sx.gradient` and `sx.evaluate` the same rows, in the same order
     and batch shapes, as the library's compact loop, so under the same BLAS
-    every float of the result must be the same.
+    every float of the result must be the same.  It reads the start and
+    iteration budgets from the simplex module, as `maximize` does.
     """
-    starts, kinds = sx._start_points(p.m, config, extra_starts)
+    starts, kinds = sx._start_points(p.m, seed, extra_starts)
     x = project_rows(starts)
     f = sx.evaluate(p, x)
     eta = np.ones(len(x))
     iterations = np.zeros(len(x), dtype=np.int64)
     live = np.arange(len(x))
-    for _ in range(config.max_iterations):
+    for _ in range(sx._MAX_ITERATIONS):
         if not live.size:
             break
         g = sx.gradient(p, x[live])
@@ -257,7 +257,7 @@ def full_size_maximize(p: Pattern, config: sx.OptimizerConfig,
         point=x[best],
         kkt_residual=sx.kkt_residual(p, x[best]),
         starts_used=len(x),
-        seed=config.seed,
+        seed=seed,
         start_index=best,
         start_kind=kinds[best],
         iterations=tuple(iterations.tolist()),

@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from turangap import (
-    ChainConfig,
-    OptimizerConfig,
     Pattern,
     BlowupSpec,
     blow_up,
@@ -65,7 +63,7 @@ def test_criterion_01_worked_pattern_polynomial(capsys):
 def test_criterion_02_single_edge_anchor(r, capsys):
     failures = []
     pattern = simple_pattern(r, r, [tuple(range(1, r + 1))])
-    res = maximize(pattern, OptimizerConfig(starts=16, seed=0))
+    res = maximize(pattern)
     target = factorial(r) / r**r
     if abs(res.value - target) > 1e-8:
         failures.append(f"value {res.value} vs {target}")
@@ -77,7 +75,7 @@ def test_criterion_02_single_edge_anchor(r, capsys):
 def test_criterion_03_complete_pair_pattern(capsys):
     failures = []
     for m in range(2, 9):
-        res = maximize(complete_pattern(2, m), OptimizerConfig(starts=16, seed=0))
+        res = maximize(complete_pattern(2, m))
         target = (m - 1) / m
         if abs(res.value - target) > 1e-7:
             failures.append(f"m={m}: {res.value} vs {target}")
@@ -86,7 +84,7 @@ def test_criterion_03_complete_pair_pattern(capsys):
 
 def test_criterion_04_chain_m6(capsys):
     failures = []
-    lad = build_chain_ladder(ChainConfig(3, 6, opt=OptimizerConfig(starts=24, seed=0)))
+    lad = build_chain_ladder(3, 6)
     gap = verify_gap_bound(lad)
     if gap.step_violations or gap.monotone_violations:
         failures.append(f"violations {gap.step_violations} {gap.monotone_violations}")
@@ -106,7 +104,7 @@ def test_criterion_04b_chain_crosses_threshold(capsys):
     m = minimal_m(3)
     if m != 13:
         failures.append(f"minimal m {m} != 13")
-    lad = build_chain_ladder(ChainConfig(3, m, opt=OptimizerConfig(starts=30, seed=0)))
+    lad = build_chain_ladder(3, m)
     gap = verify_gap_bound(lad)
     if lad.exact_values[-1] != Fraction(132, 169):
         failures.append(f"top {lad.exact_values[-1]} vs 132/169")
@@ -127,12 +125,11 @@ def test_criterion_05_uniform_value_lemma_sweep(capsys):
     # recorded and counted, not filtered away: 4 of the 20 families, all s=3
     failures = []
     flagged = []
-    opt = OptimizerConfig(starts=24, seed=0)
     for r, s in [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]:
         for a in iter_down_sets(r, s):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                rep = verify_lemma(a, opt)
+                rep = verify_lemma(a)
             flagged += [(s, str(w.message)) for w in caught]
             u = float(rep.uniform_value)
             if not (u - 1e-9 <= rep.opt_value <= u + 1e-6):
@@ -196,7 +193,7 @@ def test_criterion_09_bunching_inequality(capsys):
     failures = []
     for r in range(2, 11):
         for h2 in bunching_indices(r):
-            rep = bunching_verify(r, Fraction(h2, 2), samples=1000, seed=0)
+            rep = bunching_verify(r, Fraction(h2, 2))
             if not (rep.inside_ok and rep.outside_ok):
                 failures.append(f"r={r} h={Fraction(h2, 2)}: sign structure broken")
             if not rep.zero_sum_ok:

@@ -9,15 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from turangap import (
-    ChainConfig,
-    OptimizerConfig,
-    build_chain_ladder,
-    minimal_m,
-    verify_gap_bound,
-)
+from turangap import build_chain_ladder, minimal_m, verify_gap_bound
 from turangap.chain import _KKT_BOUND, _STEP_SLACK, ChainLadder, edge_enumeration
 from turangap.patterns import simple_pattern
+import turangap.simplex as sx
 from turangap.simplex import maximize
 
 from oracles import max_value_gap
@@ -68,8 +63,7 @@ def test_edge_enumeration_random_is_seeded_permutation():
 
 
 def test_single_edge_chain_m_equals_r():
-    cfg = ChainConfig(3, 3, opt=OptimizerConfig(starts=8, seed=0))
-    lad = build_chain_ladder(cfg)
+    lad = build_chain_ladder(3, 3)
     assert len(lad.values) == 2
     assert lad.values[0] == 0.0
     assert abs(lad.values[1] - 2 / 9) < 1e-9
@@ -78,8 +72,7 @@ def test_single_edge_chain_m_equals_r():
 
 
 def test_m6_chain_satisfies_every_check():
-    cfg = ChainConfig(3, 6, opt=OptimizerConfig(starts=24, seed=0))
-    lad = build_chain_ladder(cfg)
+    lad = build_chain_ladder(3, 6)
     assert len(lad.values) == comb(6, 3) + 1
 
     gap = verify_gap_bound(lad)
@@ -101,16 +94,14 @@ def test_m6_chain_satisfies_every_check():
 
 
 def test_chain_is_deterministic():
-    cfg = ChainConfig(3, 5, opt=OptimizerConfig(starts=12, seed=4))
-    a = build_chain_ladder(cfg)
-    b = build_chain_ladder(cfg)
+    a = build_chain_ladder(3, 5, seed=4)
+    b = build_chain_ladder(3, 5, seed=4)
     assert a.values == b.values
     assert a.points == b.points
 
 
 def test_chain_values_monotone_r4():
-    cfg = ChainConfig(4, 5, opt=OptimizerConfig(starts=16, seed=0))
-    lad = build_chain_ladder(cfg)
+    lad = build_chain_ladder(4, 5)
     gap = verify_gap_bound(lad)
     assert gap.ok
     assert lad.max_step <= factorial(4) / 4**4 + 1e-6
@@ -118,8 +109,7 @@ def test_chain_values_monotone_r4():
 
 
 def test_gap_report_fields():
-    cfg = ChainConfig(3, 4, opt=OptimizerConfig(starts=12, seed=0))
-    gap = verify_gap_bound(build_chain_ladder(cfg))
+    gap = verify_gap_bound(build_chain_ladder(3, 4))
     assert gap.r == 3 and gap.m == 4
     assert abs(gap.bound - 2 / 9) < 1e-15
     assert gap.near_triggered == (1,)
@@ -131,7 +121,7 @@ def _fabricated_ladder(*values: float) -> ChainLadder:
     rung is closed-form, as in every built ladder."""
     edges = edge_enumeration(8, 3)[: len(values) - 1]
     exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
-    return ChainLadder(ChainConfig(3, 8), edges, values, exact,
+    return ChainLadder(3, 8, edges, values, exact,
                        ((0.125,) * 8,) * len(values), (0.0,) * len(values))
 
 
@@ -159,15 +149,17 @@ def test_near_equality_fails_on_a_large_predecessor():
     assert gap.near_triggered == () and gap.ok
 
 
-def test_starved_optimizer_fails_the_kkt_gate():
+def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
     # one ascent step leaves the optimizer rungs far from stationary while
     # every step stays below 2/9, so only the KKT gate can see it
-    starved = build_chain_ladder(ChainConfig(3, 5, opt=OptimizerConfig(max_iterations=1)))
+    with monkeypatch.context() as mp:
+        mp.setattr(sx, "_MAX_ITERATIONS", 1)
+        starved = build_chain_ladder(3, 5)
     gap = verify_gap_bound(starved)
     assert gap.steps_ok and not gap.near_violations
     assert gap.kkt_violations == (3, 8, 9) and not gap.ok
     assert all(starved.exact_values[i] is None for i in gap.kkt_violations)
-    assert verify_gap_bound(build_chain_ladder(ChainConfig(3, 5))).kkt_violations == ()
+    assert verify_gap_bound(build_chain_ladder(3, 5)).kkt_violations == ()
 
 
 def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
@@ -207,7 +199,7 @@ def _qualifies(r: int, edges) -> bool:
 @pytest.mark.parametrize("r,m,order,closed", [(3, 7, "colex", 25), (4, 6, "colex", 8),
                                                (5, 8, "colex", 25), (3, 7, "lex", 3)])
 def test_closed_form_rungs_qualify_by_structure_and_match_the_optimizer(r, m, order, closed):
-    lad = build_chain_ladder(ChainConfig(r, m, edge_order=order))
+    lad = build_chain_ladder(r, m, order)
     want = tuple(i for i in range(1, len(lad.values)) if _qualifies(r, lad.edges[:i]))
     assert lad.closed_form_rungs == want
     assert len(want) == closed
@@ -225,7 +217,7 @@ def test_closed_form_rungs_qualify_by_structure_and_match_the_optimizer(r, m, or
 
 def test_clique_with_every_pair_covered_runs_the_optimizer():
     # colex r=3 m=5, rung 8: K_4 plus 125, 135, 235, 145 covers every pair of [5]
-    lad = build_chain_ladder(ChainConfig(3, 5, opt=OptimizerConfig(starts=12, seed=0)))
+    lad = build_chain_ladder(3, 5)
     edges = lad.edges[:8]
     assert set(combinations(range(1, 5), 3)) <= set(edges)
     assert not _qualifies(3, edges)

@@ -190,6 +190,24 @@ def test_failed_run_writes_nothing(tmp_path, pattern_file, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_bad_seed_is_usage_error_for_every_seeded_command(tmp_path, pattern_file, capsys):
+    # one converter judges --seed, so every seeded subcommand rejects a bad
+    # one alike, before any work and before anything is written
+    commands = [["lagrangian", "--pattern", pattern_file],
+                ["chain", "--r", "3", "--m", "4"],
+                ["ladder", "--r", "4"],
+                ["ladder", "--r", "4", "--mc-trials", "10"],
+                ["lemma-check", "--r", "3", "--s", "2", "--all-downsets"],
+                ["bunching", "--r", "4", "--h", "1"]]
+    out = tmp_path / "out"
+    for argv in commands:
+        for seed in ("-1", "2.5", "x"):
+            assert dispatch(argv + ["--seed", seed, "--out", str(out)]) == 2, (argv, seed)
+            err = capsys.readouterr().err
+            assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+    assert not out.exists()
+
+
 def test_bad_trial_count_fails_before_the_ladder_is_built(tmp_path, capsys, monkeypatch):
     def no_ladder(r):
         raise AssertionError("ladder built before the trial count was checked")

@@ -41,7 +41,7 @@ def test_readme_tour_runs_on_the_star_import():
     ns: dict = {}
     exec(compile(_readme_block(), "README.md", "exec"), ns)
     assert abs(ns["res"].value - 4 / 9) < 1e-9
-    assert ns["a"].r == 3 and ns["lad"].config.m == 6
+    assert ns["a"].r == 3 and ns["lad"].m == 6
 
 
 def test_all_is_exactly_what_readme_and_demos_use():

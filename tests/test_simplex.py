@@ -1,8 +1,10 @@
 """Projection, gradients, the multi-start optimizer, and grid bounds."""
 
+import json
 import random
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -13,9 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from turangap import (
-    ChainConfig,
     DownSet,
-    OptimizerConfig,
     Pattern,
     build_chain_ladder,
     certificate,
@@ -41,6 +41,15 @@ from turangap.simplex import (
 from oracles import complete_pattern, full_size_maximize, grid_points_by_tuples, random_pattern
 
 SINGLE_EDGE_3 = simple_pattern(3, 3, [[1, 2, 3]])
+
+
+@contextmanager
+def _budget(starts: int, max_iterations: int = sx._MAX_ITERATIONS):
+    """Inside, maximize runs this many starts of at most this many steps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sx, "_STARTS", starts)
+        mp.setattr(sx, "_MAX_ITERATIONS", max_iterations)
+        yield
 
 
 def test_projection_examples():
@@ -99,7 +108,7 @@ def test_kkt_residual_zero_at_uniform_max():
 def test_maximize_single_edge_hits_uniform():
     for r in (3, 4, 5):
         p = simple_pattern(r, r, [list(range(1, r + 1))])
-        res = maximize(p, OptimizerConfig(starts=12))
+        res = maximize(p)
         assert res.value == pytest.approx(factorial(r) / r**r, abs=1e-12)
         assert np.max(np.abs(res.point - 1 / r)) < 1e-6
         assert res.kkt_residual < 1e-6
@@ -107,48 +116,47 @@ def test_maximize_single_edge_hits_uniform():
 
 def test_maximize_empty_pattern_is_zero():
     p = Pattern(3, 4, ())
-    res = maximize(p, OptimizerConfig(starts=3))
+    res = maximize(p)
     assert res.value == 0.0
     assert res.kkt_residual == 0.0
 
 
 def test_maximize_deterministic_and_seed_sensitive():
     p = complete_pattern(2, 5)
-    a = maximize(p, OptimizerConfig(starts=20, seed=123))
-    b = maximize(p, OptimizerConfig(starts=20, seed=123))
+    a = maximize(p, 123)
+    b = maximize(p, 123)
     assert a.value == b.value
     assert np.array_equal(a.point, b.point)
-    assert a.starts_used == b.starts_used == 20
+    assert a.starts_used == b.starts_used == sx._STARTS == 50
     # neighbouring seeds draw disjoint random starts, not shifted copies
     for seed in (0, 123):
-        mine, kinds = _start_points(5, OptimizerConfig(starts=20, seed=seed), ())
-        other, _ = _start_points(5, OptimizerConfig(starts=20, seed=seed + 1), ())
+        mine, kinds = _start_points(5, seed, ())
+        other, _ = _start_points(5, seed + 1, ())
         rand = [i for i, k in enumerate(kinds) if k == "random"]
-        assert len(rand) == 14
+        assert len(rand) == 44
         assert np.array_equal(mine[:6], other[:6])
         assert not any(np.allclose(mine[i], other[j]) for i in rand for j in rand)
 
 
 def test_random_starts_are_drawn_once_and_read_only():
-    config = OptimizerConfig(starts=20, seed=7)
-    starts, _ = _start_points(5, config, ())
-    draws = sx._random_rows(5, 6, 20, 7)
-    assert sx._random_rows(5, 6, 20, 7) is draws  # every maximize shares them
+    starts, _ = _start_points(5, 7, ())
+    draws = sx._random_rows(5, 6, 50, 7)
+    assert sx._random_rows(5, 6, 50, 7) is draws  # every maximize shares them
     with pytest.raises(ValueError, match="read-only"):
         draws[0, 0] = 1.0
     first = np.random.default_rng([7, 6]).exponential(1.0, 5)
     assert np.array_equal(draws[0], first / first.sum())
     assert np.array_equal(starts[6:], draws)
     starts[6:] = 0.0  # the caller's rows are its own copy
-    assert np.array_equal(_start_points(5, config, ())[0][6:], draws)
-    assert not np.array_equal(sx._random_rows(5, 6, 20, 8), draws)
+    assert np.array_equal(_start_points(5, 7, ())[0][6:], draws)
+    assert not np.array_equal(sx._random_rows(5, 6, 50, 8), draws)
 
 
 def test_maximize_reports_value_at_point():
     rng = random.Random(23)
     for _ in range(10):
         p = random_pattern(rng, r_max=4, m_max=5)
-        res = maximize(p, OptimizerConfig(starts=8))
+        res = maximize(p)
         assert res.value == pytest.approx(evaluate(p, res.point), abs=1e-12)
         assert res.kkt_residual <= 1e-6
         assert res.value >= 0.0
@@ -158,20 +166,21 @@ def test_warm_start_is_honored():
     # the result can never fall below the value at a supplied warm start
     rng = np.random.default_rng(31)
     p = complete_pattern(2, 4)
-    for _ in range(5):
-        warm = rng.dirichlet(np.ones(4))
-        res = maximize(p, OptimizerConfig(starts=1), extra_starts=[warm])
-        assert res.value >= evaluate(p, warm) - 1e-12
-    res = maximize(p, OptimizerConfig(starts=1), extra_starts=[np.full(4, 0.25)])
+    with _budget(1):  # the uniform point and the warm start
+        for _ in range(5):
+            warm = rng.dirichlet(np.ones(4))
+            res = maximize(p, extra_starts=[warm])
+            assert res.value >= evaluate(p, warm) - 1e-12
+        res = maximize(p, extra_starts=[np.full(4, 0.25)])
     assert res.value == pytest.approx(0.75, abs=1e-12)
 
 
 def test_certificate_shape():
-    res = maximize(SINGLE_EDGE_3, OptimizerConfig(starts=4, seed=9))
+    res = maximize(SINGLE_EDGE_3, 9)
     cert = certificate(SINGLE_EDGE_3, res)
     assert cert["pattern"]["multisets"] == [[1, 2, 3]]
     assert cert["seed"] == 9
-    assert cert["starts"] == 4
+    assert cert["starts"] == sx._STARTS
     assert len(cert["point"]) == 3
     assert cert["value"] == pytest.approx(6 / 27, abs=1e-12)
 
@@ -186,7 +195,7 @@ def test_certify_max_upper_bounds_known_maxima():
     rng = random.Random(5)
     for _ in range(8):
         p = random_pattern(rng, r_max=3, m_max=4)
-        res = maximize(p, OptimizerConfig(starts=10))
+        res = maximize(p)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert certify_max_upper(p, 80) >= res.value - 1e-12
@@ -262,35 +271,36 @@ def test_grid_sweep_peak_memory_stays_small():
     assert peak < 4 * 2**20
 
 
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(seed=-1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    # a non-integer fails at construction, not later in a slice or a seed
-    for field in ("starts", "max_iterations", "seed"):
-        for bad in (2.5, 3.0, "3", None):
-            with pytest.raises(ValueError, match=f"{field} must be an integer"):
-                OptimizerConfig(**{field: bad})
+def test_entry_points_reject_bad_seeds(monkeypatch):
+    # a non-integer or negative seed fails at the call; a chain fails before
+    # it builds a rung, and does not leave a random order's shuffle to judge it
+    def no_rung(*args):
+        raise AssertionError("rung built before the seed was checked")
+
+    monkeypatch.setattr(chain_module, "simple_pattern", no_rung)
+    for bad in (-1, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="seed must be"):
+            maximize(SINGLE_EDGE_3, bad)
+        with pytest.raises(ValueError, match="seed must be"):
+            build_chain_ladder(3, 5, "random", bad)
 
 
-def test_optimizer_config_normalizes_integer_likes():
-    config = OptimizerConfig(starts=np.int64(3), max_iterations=np.uint8(9), seed=np.int32(7))
-    assert (config.starts, config.max_iterations, config.seed) == (3, 9, 7)
-    assert all(type(v) is int for v in (config.starts, config.max_iterations, config.seed))
-    assert config == OptimizerConfig(starts=3, max_iterations=9, seed=7)
-    assert len(maximize(SINGLE_EDGE_3, config).iterations) == 3
+def test_numpy_integer_seeds_become_plain_ints():
+    res = maximize(SINGLE_EDGE_3, np.int32(7))
+    assert type(res.seed) is int
+    assert _fields(res) == _fields(maximize(SINGLE_EDGE_3, 7))
+    json.dumps(certificate(SINGLE_EDGE_3, res))
+    lad = build_chain_ladder(3, 4, "random", np.uint8(4))
+    assert lad == build_chain_ladder(3, 4, "random", 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_warm_start_is_rejected(bad):
     warm = [0.5, bad, 0.5]
     with pytest.raises(ValueError, match="finite"):
-        _start_points(3, OptimizerConfig(starts=2), [warm])
+        _start_points(3, 0, [warm])
     with pytest.raises(ValueError, match="finite"):
-        maximize(SINGLE_EDGE_3, OptimizerConfig(starts=2), extra_starts=[[1 / 3] * 3, warm])
+        maximize(SINGLE_EDGE_3, extra_starts=[[1 / 3] * 3, warm])
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +437,21 @@ DEGENERATE = pattern_of(DownSet(4, 3, frozenset({(2, 1, 1), (2, 2, 0)})))
 
 
 def _oracle_cases():
-    """(pattern, config, warm starts): random patterns, the empty pattern,
-    the degenerate r=4 s=3 family {(2,1,1), (2,2,0)} (thousands of steps
-    per start), that family again stopped at 7 steps while its starts still
-    ascend, a warm-started chain rung, and the symmetric K_5 pattern, whose
-    starts all climb to the same maximum 4/5."""
+    """(pattern, seed, (starts, max_iterations), warm starts): random
+    patterns, the empty pattern, the degenerate r=4 s=3 family {(2,1,1),
+    (2,2,0)} (thousands of steps per start), that family again stopped at 7
+    steps while its starts still ascend, a warm-started chain rung, and the
+    symmetric K_5 pattern, whose starts all climb to the same maximum 4/5."""
     rng = random.Random(47)
-    cases = [(random_pattern(rng, r_max=4, m_max=6), OptimizerConfig(starts=12, seed=s), ())
-             for s in range(10)]
-    cases.append((Pattern(3, 4, ()), OptimizerConfig(starts=6), ()))
-    cases.append((DEGENERATE, OptimizerConfig(starts=6, seed=1), ()))
-    cases.append((DEGENERATE, OptimizerConfig(starts=6, seed=1, max_iterations=7), ()))
+    cases = [(random_pattern(rng, r_max=4, m_max=6), s, (12, 5000), ()) for s in range(10)]
+    cases.append((Pattern(3, 4, ()), 0, (6, 5000), ()))
+    cases.append((DEGENERATE, 1, (6, 5000), ()))
+    cases.append((DEGENERATE, 1, (6, 7), ()))
     edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)]
-    prev = maximize(simple_pattern(3, 5, edges[:-1]), OptimizerConfig(starts=10))
-    cases.append((simple_pattern(3, 5, edges), OptimizerConfig(starts=10), [prev.point]))
-    cases.append((complete_pattern(2, 5), OptimizerConfig(starts=20, seed=3), ()))
+    with _budget(10):
+        prev = maximize(simple_pattern(3, 5, edges[:-1]))
+    cases.append((simple_pattern(3, 5, edges), 0, (10, 5000), [prev.point]))
+    cases.append((complete_pattern(2, 5), 3, (20, 5000), ()))
     return cases
 
 
@@ -463,10 +473,11 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
     # same way
     monkeypatch.setattr(sx, "gradient", _row_gradient)
     monkeypatch.setattr(sx, "evaluate", _row_evaluate)
-    for p, config, extra in _oracle_cases():
-        res = maximize(p, config, extra_starts=extra)
-        starts, kinds = _start_points(p.m, config, extra)
-        runs = [_ascend(p, x0, config.max_iterations, _TOLERANCE) for x0 in starts]
+    for p, seed, budget, extra in _oracle_cases():
+        with _budget(*budget):
+            res = maximize(p, seed, extra_starts=extra)
+            starts, kinds = _start_points(p.m, seed, extra)
+        runs = [_ascend(p, x0, budget[1], _TOLERANCE) for x0 in starts]
         assert res.iterations == tuple(n for _, _, n in runs)
         values = [f for _, f, _ in runs]
         # ties go to the lowest start index
@@ -476,7 +487,7 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
         assert np.array_equal(res.point, runs[res.start_index][0])
         if extra:
             assert res.value >= evaluate(p, extra[0]) - 1e-12
-        if p == DEGENERATE and config.max_iterations == 7:
+        if p == DEGENERATE and budget[1] == 7:
             # the cap, not convergence, stops these rows: they take an 8th step
             capped = [x0 for x0, n in zip(starts, res.iterations) if n == 7]
             assert len(capped) > 1
@@ -488,11 +499,11 @@ def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
 
 
 def test_maximize_matches_best_oracle_value():
-    for p, config, extra in _oracle_cases():
-        res = maximize(p, config, extra_starts=extra)
-        starts, _ = _start_points(p.m, config, extra)
-        best = max(_ascend(p, x0, config.max_iterations, _TOLERANCE)[1]
-                   for x0 in starts)
+    for p, seed, budget, extra in _oracle_cases():
+        with _budget(*budget):
+            res = maximize(p, seed, extra_starts=extra)
+            starts, _ = _start_points(p.m, seed, extra)
+        best = max(_ascend(p, x0, budget[1], _TOLERANCE)[1] for x0 in starts)
         assert abs(res.value - best) <= 1e-12
         assert res.value == pytest.approx(evaluate(p, res.point), abs=1e-15)
 
@@ -512,22 +523,27 @@ def test_maximize_equals_the_full_size_loop_bit_for_bit(monkeypatch):
     # full-size one, so every field of every result is the same
     families = [pattern_of(a) for r, s in BENCH_LEMMA_CASES for a in iter_down_sets(r, s)]
     assert len(families) == 36
-    calls = [(p, OptimizerConfig(seed=seed), ()) for seed in (0, 7) for p in families]
+    default = (sx._STARTS, sx._MAX_ITERATIONS)
+    calls = [(p, seed, default, ()) for seed in (0, 7) for p in families]
     calls += _oracle_cases()
-    results = [maximize(p, config, extra) for p, config, extra in calls]
+    results = []
+    for p, seed, budget, extra in calls:
+        with _budget(*budget):
+            results.append(maximize(p, seed, extra))
 
-    def record(p, config, extra_starts):
-        calls.append((p, config, extra_starts))
-        results.append(maximize(p, config, extra_starts))
+    def record(p, seed, extra_starts):
+        calls.append((p, seed, default, extra_starts))
+        results.append(maximize(p, seed, extra_starts))
         return results[-1]
 
     monkeypatch.setattr(chain_module, "maximize", record)
     for r, m in ((3, 7), (4, 6), (5, 8)):
-        build_chain_ladder(ChainConfig(r, m))  # every optimizer rung, warm-started
+        build_chain_ladder(r, m)  # every optimizer rung, warm-started
     # one warm-started oracle case, then 10, 7 and 31 optimizer rungs
-    assert sum(1 for _, _, extra in calls if len(extra)) == 1 + 10 + 7 + 31
-    for (p, config, extra), res in zip(calls, results):
-        assert _fields(res) == _fields(full_size_maximize(p, config, extra))
+    assert sum(1 for *_, extra in calls if len(extra)) == 1 + 10 + 7 + 31
+    for (p, seed, budget, extra), res in zip(calls, results):
+        with _budget(*budget):
+            assert _fields(res) == _fields(full_size_maximize(p, seed, extra))
 
 
 def test_bench_chains_stay_within_their_projection_budget(monkeypatch):
@@ -538,7 +554,7 @@ def test_bench_chains_stay_within_their_projection_budget(monkeypatch):
     real = sx.project_to_simplex
     monkeypatch.setattr(sx, "project_to_simplex", lambda v: calls.append(1) or real(v))
     for r, m in ((3, 7), (4, 6)):
-        build_chain_ladder(ChainConfig(r, m))
+        build_chain_ladder(r, m)
     assert len(calls) <= 1000
 
 
@@ -557,7 +573,8 @@ def test_cleanup_returns_tiny_mass_to_the_support():
     # not smeared over the zeroed coordinate by a full-simplex projection
     p = simple_pattern(2, 3, [(1, 2), (1, 3)])
     warm = [0.5, 0.5 - 4e-15, 4e-15]
-    res = maximize(p, OptimizerConfig(starts=1, max_iterations=1), extra_starts=[warm])
+    with _budget(1, max_iterations=1):
+        res = maximize(p, extra_starts=[warm])
     assert res.start_kind == "warm"
     assert res.point[2] == 0.0 and res.point[1] > warm[1]
     assert res.point.sum() == pytest.approx(1.0, abs=1e-15)
@@ -565,17 +582,19 @@ def test_cleanup_returns_tiny_mass_to_the_support():
 
 def test_opt_result_reports_winning_start():
     p = simple_pattern(3, 4, [(1, 2, 3)])
-    res = maximize(p, OptimizerConfig(starts=8, seed=5))
+    with _budget(8):
+        res = maximize(p, 5)
     kinds = ["uniform"] + ["vertex"] * 4 + ["random"] * 3
     assert res.start_kind == kinds[res.start_index]
     assert len(res.iterations) == 8 and min(res.iterations) >= 1
     assert res.iterations[1] == 1  # a vertex is a projection fixed point
     # one step from the uniform point of x^3 does not reach the vertex
     cube = Pattern.from_element_lists(3, 3, [(1, 1, 1)])
-    warm = maximize(cube, OptimizerConfig(starts=1, max_iterations=1), extra_starts=[[1, 0, 0]])
+    with _budget(1, max_iterations=1):
+        warm = maximize(cube, extra_starts=[[1, 0, 0]])
     assert (warm.start_index, warm.start_kind, warm.value) == (1, "warm", 1.0)
     # diagnostics stay out of the certificate, so artifacts do not change
     assert set(certificate(p, res)) == {"pattern", "value", "point", "kkt_residual",
                                         "starts", "seed"}
     with pytest.raises(ValueError):
-        maximize(p, OptimizerConfig(starts=1), extra_starts=[[0.5, 0.5]])
+        maximize(p, extra_starts=[[0.5, 0.5]])
