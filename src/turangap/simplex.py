@@ -1,10 +1,12 @@
 """Maximization of Lagrange polynomials over the probability simplex.
 
-Multi-start projected gradient ascent, with the live starts ascending together
-as one compact array, provides lower bounds on the maximum.  A first-order
-residual quantifies stationarity of the best point, and a simplex-grid sweep
-provides a rigorous upper bound in small dimension, so lower and upper
-routes can be cross-checked.
+Multi-start projected gradient ascent provides lower bounds on the maximum.
+The live starts ascend together as one compact array, but each runs its own
+backtracking search: a pass tries a window of step sizes for every start, and
+a start whose window has no acceptable step resumes below it in the next pass
+while the others take fresh gradient steps.  A first-order residual quantifies
+stationarity of the best point, and a simplex-grid sweep provides a rigorous
+upper bound in small dimension, so lower and upper routes can be cross-checked.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ SUPPORT_EPS = 1e-14
 _TOLERANCE = 1e-12  # a candidate step moving less than this ends its start, untaken
 _STARTS = 50  # starts per maximize: the uniform point, the m vertices, random draws
 _MAX_ITERATIONS = 5000  # gradient steps a start may take
+_WINDOW = 3  # step sizes eta, eta/2, eta/4 a start tries per pass
 _GRID_BLOCK = 1024  # grid rows per evaluate_batch call in certify_max_upper
 
 
@@ -149,58 +152,62 @@ def maximize(
     taking that step.  It also stops when no step size down to 1e-16
     qualifies, or after _MAX_ITERATIONS (5000) steps.  Its point is then
     cleaned: coordinates below SUPPORT_EPS are zeroed and the rest
-    re-projected inside that support face.  Live rows stay compact, each
-    stopped one written back once; gradient and evaluate get a full-size
-    loop's batches row for row (BLAS rounding follows shape).
+    re-projected inside that support face.  Each pass, every live start
+    tries a window of _WINDOW (3) step sizes eta, eta/2, eta/4 from its own
+    state; a start with no hit keeps its point and gradient and resumes at
+    eta/8 in the next pass, while the others go on, so gradient runs only on
+    starts that just stepped.  Live rows stay compact, each stopped one
+    written back once; gradient and evaluate get a full-size loop's batches
+    row for row (BLAS rounding follows shape).
     """
     seed = _check_seed(seed)
     starts, kinds = _start_points(p.m, seed, extra_starts)
     x = project_to_simplex(starts)  # rows still ascending
-    f = evaluate(p, x)
-    eta = np.ones(len(x))
+    f, g = evaluate(p, x), gradient(p, x)
+    eta = np.ones(len(x))  # the next step size each row tries
+    steps = np.ones(len(x), dtype=np.int64)  # gradients taken, per row
     live = np.arange(len(x))  # start index of each row of x
     done = np.empty_like(x)  # final points, by start index
-    iterations = np.full(len(x), _MAX_ITERATIONS)
-    for it in range(_MAX_ITERATIONS):
-        g = gradient(p, x)
-        go_on = np.zeros(len(x), dtype=bool)
-        trying = np.arange(len(x))  # rows still backtracking
-        tries = 2
-        while trying.size:
-            # try the next step sizes eta, eta/2, ... of every backtracking
-            # row at once, 2 in the first round and 8x as many in each later
-            # one; a row takes its first candidate that moves less than
-            # _TOLERANCE or passes Armijo, exactly as a one-at-a-time search
-            # would.  The projected step only lengthens as eta grows (Calamai
-            # and More, Math. Prog. 1987), so after a short one every smaller
-            # step size would barely move either: the start has converged
-            every = trying.size == len(x)  # no gathers while every row tries
-            xr, gr, fr = (x, g, f) if every else (x[trying], g[trying], f[trying])
-            etas = (eta if every else eta[trying])[:, None] * 0.5 ** np.arange(tries)
-            cand = xr[:, None, :] + etas[..., None] * gr[:, None, :]
-            y = project_to_simplex(cand.reshape(-1, p.m))
-            step = y.reshape(cand.shape) - xr[:, None, :]
-            moved = np.abs(step).max(axis=2)
-            fy = evaluate(p, y).reshape(moved.shape)
-            # Armijo condition on the projection arc; the inner product is
-            # positive whenever the projected step moves
-            armijo = fy - fr[:, None] >= 1e-4 * (step * gr[:, None, :]).sum(axis=2)
-            stop = (armijo | (moved < _TOLERANCE)) & (etas >= 1e-16)
-            pick = np.arange(0, stop.size, tries) + stop.argmax(axis=1)  # flat index
-            hit = stop.ravel()[pick]
-            eta[trying] = step_size = np.where(hit, etas.ravel()[pick], etas[:, -1] * 0.5)
-            took = hit & (moved.ravel()[pick] >= _TOLERANCE)
-            moving, pick = trying[took], pick[took]
-            x[moving], f[moving], go_on[moving] = y[pick], fy.ravel()[pick], True
-            trying = trying[~hit & (step_size >= 1e-16)]
-            tries *= 8
-        if not go_on.all():
-            done[live[~go_on]], iterations[live[~go_on]] = x[~go_on], it + 1
-            x, f, eta, live = x[go_on], f[go_on], eta[go_on], live[go_on]
-            if not live.size:
-                break
-        np.minimum(eta * 2.0, 1e6, out=eta)
-    done[live] = x
+    iterations = np.empty(len(x), dtype=np.int64)
+    halvings = 0.5 ** np.arange(_WINDOW)
+    offsets = np.arange(0, len(x) * _WINDOW, _WINDOW)  # each row's first candidate
+    while live.size:
+        # every row tries its next _WINDOW step sizes eta, eta/2, ... and
+        # takes the first that moves less than _TOLERANCE or passes Armijo,
+        # exactly as a one-at-a-time search would.  The projected step only
+        # lengthens as eta grows (Calamai and More, Math. Prog. 1987), so
+        # after a short one every smaller step size would barely move either:
+        # the start has converged.  A row with no hit keeps its point and
+        # gradient and goes on below the window in the next pass
+        etas = eta[:, None] * halvings
+        cand = x[:, None, :] + etas[..., None] * g[:, None, :]
+        y = project_to_simplex(cand.reshape(-1, p.m))
+        step = y.reshape(cand.shape) - x[:, None, :]
+        moved = np.abs(step).max(axis=2)
+        fy = evaluate(p, y).reshape(moved.shape)
+        # Armijo condition on the projection arc; the inner product is
+        # positive whenever the projected step moves
+        armijo = fy - f[:, None] >= 1e-4 * (step * g[:, None, :]).sum(axis=2)
+        stop = (armijo | (moved < _TOLERANCE)) & (etas >= 1e-16)
+        pick = offsets[: len(x)] + stop.argmax(axis=1)  # flat index
+        hit = stop.ravel()[pick]
+        took = hit & (moved.ravel()[pick] >= _TOLERANCE)
+        # a taken step size doubles; with no hit, pick is the row's eta, and
+        # it resumes at eta/8
+        eta = np.minimum(etas.ravel()[pick] * np.where(took, 2.0, 0.125), 1e6)
+        x[took], f[took] = y[pick[took]], fy.ravel()[pick[took]]
+        fresh = took & (steps < _MAX_ITERATIONS)  # rows that take a new gradient
+        if fresh.all():  # no gathers while every row steps
+            g = gradient(p, x)
+        else:
+            go_on = fresh | (~hit & (eta >= 1e-16))
+            if not go_on.all():
+                done[live[~go_on]], iterations[live[~go_on]] = x[~go_on], steps[~go_on]
+                x, f, g, eta, steps, live, fresh = (
+                    a[go_on] for a in (x, f, g, eta, steps, live, fresh))
+            if fresh.any():
+                g[fresh] = gradient(p, x[fresh])
+        steps += fresh
     done[done < SUPPORT_EPS] = 0.0
     # re-project inside each support face, not the full simplex, which would
     # smear the removed mass back onto the zeroed coordinates: entered as -1,

@@ -204,50 +204,44 @@ def project_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def full_size_maximize(p: Pattern, seed: int, extra_starts=()) -> sx.OptResult:
-    """`maximize` over full-size (starts x m) arrays: every iteration gathers
-    the live rows by index, and every round the backtracking ones.
+    """`maximize` over full-size (starts x m) arrays: every pass gathers the
+    live rows by index and scatters their new state back.
 
-    It hands `sx.gradient` and `sx.evaluate` the same rows, in the same order
-    and batch shapes, as the library's compact loop, so under the same BLAS
-    every float of the result must be the same.  It reads the start and
-    iteration budgets from the simplex module, as `maximize` does.
+    It hands `sx.gradient` the live rows that just stepped and `sx.evaluate`
+    every live row's window of step sizes, in start order and in the same
+    batch shapes as the library's compact loop, so under the same BLAS every
+    float of the result must be the same.  It reads the start and iteration
+    budgets and the window from the simplex module, as `maximize` does.
     """
     starts, kinds = sx._start_points(p.m, seed, extra_starts)
     x = project_rows(starts)
     f = sx.evaluate(p, x)
+    g = sx.gradient(p, x)
     eta = np.ones(len(x))
-    iterations = np.zeros(len(x), dtype=np.int64)
+    iterations = np.ones(len(x), dtype=np.int64)
     live = np.arange(len(x))
-    for _ in range(sx._MAX_ITERATIONS):
-        if not live.size:
-            break
-        g = sx.gradient(p, x[live])
-        iterations[live] += 1
-        go_on = np.zeros(live.size, dtype=bool)
-        trying = np.arange(live.size)
-        tries = 2
-        while trying.size:
-            rows = live[trying]
-            etas = eta[rows, None] * 0.5 ** np.arange(tries)
-            xr = x[rows, None, :]
-            cand = (xr + etas[..., None] * g[trying, None, :]).reshape(-1, p.m)
-            y = project_rows(cand).reshape(len(rows), tries, p.m)
-            step = y - xr
-            moved = np.abs(step).max(axis=2)
-            fy = sx.evaluate(p, y.reshape(-1, p.m)).reshape(moved.shape)
-            armijo = fy - f[rows, None] >= 1e-4 * (step * g[trying, None, :]).sum(axis=2)
-            stop = ((moved < sx._TOLERANCE) | armijo) & (etas >= 1e-16)
-            hit = stop.any(axis=1)
-            pick = (np.arange(len(rows)), stop.argmax(axis=1))
-            eta[rows] = np.where(hit, etas[pick], etas[:, -1] * 0.5)
-            took = hit & (moved[pick] >= sx._TOLERANCE)
-            x[rows[took]] = y[pick][took]
-            f[rows[took]] = fy[pick][took]
-            go_on[trying[took]] = True
-            trying = trying[~hit & (eta[rows] >= 1e-16)]
-            tries *= 8
-        live = live[go_on]
-        eta[live] = np.minimum(eta[live] * 2.0, 1e6)
+    while live.size:
+        etas = eta[live, None] * 0.5 ** np.arange(sx._WINDOW)
+        xr, gr = x[live, None, :], g[live, None, :]
+        y = project_rows((xr + etas[..., None] * gr).reshape(-1, p.m)).reshape(
+            len(live), sx._WINDOW, p.m)
+        step = y - xr
+        moved = np.abs(step).max(axis=2)
+        fy = sx.evaluate(p, y.reshape(-1, p.m)).reshape(moved.shape)
+        armijo = fy - f[live, None] >= 1e-4 * (step * gr).sum(axis=2)
+        stop = ((moved < sx._TOLERANCE) | armijo) & (etas >= 1e-16)
+        hit = stop.any(axis=1)
+        pick = (np.arange(len(live)), stop.argmax(axis=1))
+        took = hit & (moved[pick] >= sx._TOLERANCE)
+        eta[live] = np.where(took, np.minimum(etas[pick] * 2.0, 1e6), etas[:, -1] * 0.5)
+        x[live[took]] = y[pick][took]
+        f[live[took]] = fy[pick][took]
+        fresh = took & (iterations[live] < sx._MAX_ITERATIONS)
+        resume = ~hit & (eta[live] >= 1e-16)
+        if fresh.any():
+            g[live[fresh]] = sx.gradient(p, x[live[fresh]])
+            iterations[live[fresh]] += 1
+        live = live[fresh | resume]
     x[x < sx.SUPPORT_EPS] = 0.0
     x = project_rows(np.where(x > 0.0, x, -1.0))
     f = sx.evaluate(p, x)

@@ -519,8 +519,9 @@ def _fields(res):
 
 def test_maximize_equals_the_full_size_loop_bit_for_bit(monkeypatch):
     # with the real primitives, whose BLAS sums round by batch shape: the
-    # compact loop must hand gradient and evaluate the very batches of the
-    # full-size one, so every field of every result is the same
+    # compact flat loop must hand gradient and evaluate the very batches of
+    # the full-size one, pass by pass, so every field of every result is
+    # the same
     families = [pattern_of(a) for r, s in BENCH_LEMMA_CASES for a in iter_down_sets(r, s)]
     assert len(families) == 36
     default = (sx._STARTS, sx._MAX_ITERATIONS)
@@ -547,15 +548,51 @@ def test_maximize_equals_the_full_size_loop_bit_for_bit(monkeypatch):
 
 
 def test_bench_chains_stay_within_their_projection_budget(monkeypatch):
-    # a noise-free cost guard: maximize projects once per backtracking
-    # round, and the two benchmark chains took 1495 rounds while converged
-    # starts halved eta two step sizes at a time down to 1e-16
+    # a noise-free cost guard: maximize projects once per pass, plus once for
+    # the starts and once for the cleanup.  The two benchmark chains take 598
+    # projections, where lockstep backtracking rounds (a few straggling
+    # starts holding up all the others) took 941
     calls = []
     real = sx.project_to_simplex
     monkeypatch.setattr(sx, "project_to_simplex", lambda v: calls.append(1) or real(v))
     for r, m in ((3, 7), (4, 6)):
         build_chain_ladder(r, m)
-    assert len(calls) <= 1000
+    assert len(calls) <= 650
+
+
+def test_a_resumed_search_reuses_its_gradient(monkeypatch):
+    # a start whose window of step sizes has no hit keeps its point and
+    # gradient for the next pass, so maximize takes one gradient row per
+    # iteration, and some passes hand gradient fewer rows than are live
+    log = []  # (primitive, rows) of each batched call inside one maximize
+
+    def logged(name, real):
+        def call(p, x):
+            if np.ndim(x) == 2:
+                log.append((name, len(x)))
+            return real(p, x)
+        return call
+
+    monkeypatch.setattr(sx, "gradient", logged("gradient", sx.gradient))
+    monkeypatch.setattr(sx, "evaluate", logged("evaluate", sx.evaluate))
+    fewer = []
+
+    def counted(p, seed=0, extra_starts=()):
+        log.clear()
+        res = maximize(p, seed, extra_starts)
+        assert sum(n for name, n in log if name == "gradient") == sum(res.iterations)
+        # the pass after a gradient call evaluates a window for every live row
+        fewer.extend(n < after // sx._WINDOW
+                     for (name, n), (_, after) in zip(log, log[1:]) if name == "gradient")
+        return res
+
+    for r, s in BENCH_LEMMA_CASES:
+        for a in iter_down_sets(r, s):
+            counted(pattern_of(a))
+    monkeypatch.setattr(chain_module, "maximize", counted)
+    for r, m in ((3, 7), (4, 6)):
+        build_chain_ladder(r, m)
+    assert len(fewer) > 36 + 17 and any(fewer)
 
 
 def test_lemma_families_keep_their_batched_iteration_counts():
