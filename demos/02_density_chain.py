@@ -27,7 +27,8 @@ for i, v in enumerate(lad.values):
 
 gap = verify_gap_bound(lad)
 print(f"\nstep bound 2/9: max step {lad.max_step:.9f} at index {lad.max_step_index}")
-print(f"violations: steps={gap.step_violations} monotone={gap.monotone_violations}")
+# every step must lie in [0, 2/9]: no fall, no rise beyond the bound
+print(f"steps outside [0, 2/9]: {gap.step_violations}")
 # steps within 0.01 of 2/9 must start below 0.01
 print(f"near-equality rungs: {gap.near_triggered}, violations: {gap.near_violations}")
 print(f"optimizer rungs with a KKT residual above 1e-6: {gap.kkt_violations}")

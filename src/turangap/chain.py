@@ -1,18 +1,19 @@
 """One-edge-at-a-time chains of simple patterns and their value ladders.
 
-Adding a single r-set to a pattern raises the simplex maximum by at most
-r!/r^r (the product of r simplex coordinates never exceeds r^-r), while
-the top rung, always the complete pattern K_m, lies above 1 - r!/r^r
-exactly when m >= minimal_m(r).  ``verify_gap_bound`` is the one audit of
-a ladder's steps; a ladder that passes it sweeps the value axis with no gap
-longer than r!/r^r.
+Adding a single r-set to a pattern never lowers the simplex maximum and
+raises it by at most r!/r^r (the product of r simplex coordinates never
+exceeds r^-r), so every step of a chain lies in [0, r!/r^r].  The top rung,
+always the complete pattern K_m, lies above 1 - r!/r^r exactly when
+m >= minimal_m(r).  ``verify_gap_bound`` is the one audit of a ladder's
+steps; once its ``step_violations`` is empty, the ladder sweeps the value
+axis with no gap longer than r!/r^r.
 
 Many rungs have a closed form, decided from the rung's own edge set.  On t
-covered vertices, K_t has lambda = r! C(t, r) / t^r at its uniform point.
-A rung that contains K_{t-1} and leaves some vertex pair in no edge has
-lambda(K_{t-1}) exactly: one weight of an uncovered pair can be set to zero
-(Frankl and Rodl, Combinatorica 1984), leaving t - 1 vertices.  Along colex
-most rungs are of these two kinds; only the others run the optimizer.
+covered vertices, K_t has lambda(K_t) = r! C(t, r) / t^r at its uniform
+point.  A rung that contains K_{t-1} and leaves some vertex pair in no edge
+has lambda(K_{t-1}) exactly: one weight of an uncovered pair can be set to
+zero (Frankl and Rodl, Combinatorica 1984), leaving t - 1 vertices.  Along
+colex most rungs are of these two kinds; only the others run the optimizer.
 """
 
 from __future__ import annotations
@@ -34,32 +35,39 @@ _NEAR_EPS = 0.01  # steps this close to r!/r^r are audited ...
 _NEAR_DELTA = 0.01  # ... and must start from a value below this
 
 
+def _clique_value(r: int, t: int) -> Fraction:
+    """lambda(K_t), exact: the value at the uniform point of its t vertices."""
+    return Fraction(factorial(r) * comb(t, r), t**r)
+
+
 def minimal_m(r: int) -> int:
-    """Smallest m with r! C(m, r) / m^r > 1 - r!/r^r, decided exactly."""
+    """Smallest m with lambda(K_m) > 1 - r!/r^r, decided exactly."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    target = 1 - Fraction(factorial(r), r**r)
+    target = 1 - _clique_value(r, r)
     m = r
-    while Fraction(factorial(r) * comb(m, r), m**r) <= target:
+    while _clique_value(r, m) <= target:
         m += 1
     return m
 
 
 def edge_enumeration(
-    m: int, r: int, rule: str = "colex", seed: int = 0
+    r: int, m: int, order: str = "colex", seed: int = 0
 ) -> tuple[tuple[int, ...], ...]:
-    """All r-sets on {1, ..., m} in colex, lex, or seeded random order."""
+    """All r-sets on {1, ..., m} in colex, lex, or seeded random order.
+    A bad seed raises for every order."""
+    seed = _check_seed(seed)
     if not 2 <= r <= m:
         raise ValueError(f"need 2 <= r <= m, got r={r}, m={m}")
     edges = list(combinations(range(1, m + 1), r))
-    if rule == "lex":
+    if order == "lex":
         pass  # combinations already emits lex order
-    elif rule == "colex":
+    elif order == "colex":
         edges.sort(key=lambda e: tuple(reversed(e)))
-    elif rule == "random":
+    elif order == "random":
         random.Random(seed).shuffle(edges)
     else:
-        raise ValueError(f"unknown enumeration rule {rule!r}")
+        raise ValueError(f"unknown enumeration order {order!r}")
     return tuple(edges)
 
 
@@ -115,7 +123,7 @@ def _closed_form(
         return None
     s = len(support)
     point = tuple(1.0 / s if i in support else 0.0 for i in range(1, m + 1))
-    return Fraction(factorial(r) * comb(s, r), s**r), point
+    return _clique_value(r, s), point
 
 
 def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> ChainLadder:
@@ -126,8 +134,7 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
     r-set, so K_r) is always closed-form.  Every KKT residual is computed at
     the rung's point.  A bad argument raises before any rung is built.
     """
-    seed = _check_seed(seed)
-    edges = edge_enumeration(m, r, order, seed)
+    edges = edge_enumeration(r, m, order, seed)
     values = [0.0]
     exact: list[Fraction | None] = [Fraction(0)]
     points = [tuple([1.0 / m] * m)]
@@ -160,30 +167,24 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
 class GapReport:
     """Step audit of a chain ladder: step i runs from rung i - 1 to rung i."""
 
-    r: int
-    m: int
     bound: float  # r!/r^r
     step_violations: tuple[int, ...]
-    monotone_violations: tuple[int, ...]
     near_triggered: tuple[int, ...]
     near_violations: tuple[int, ...]
     kkt_violations: tuple[int, ...]
 
     @property
-    def steps_ok(self) -> bool:
-        return not self.step_violations and not self.monotone_violations
-
-    @property
     def ok(self) -> bool:
-        return self.steps_ok and not self.near_violations and not self.kkt_violations
+        return not (self.step_violations or self.near_violations or self.kkt_violations)
 
 
 def verify_gap_bound(lad: ChainLadder) -> GapReport:
-    """Check every step against r!/r^r, monotonicity and near equality, and
-    every optimizer rung's KKT residual against _KKT_BOUND.
+    """Check every step against [0, r!/r^r] and near equality, and every
+    optimizer rung's KKT residual against _KKT_BOUND.
 
-    A step above r!/r^r + _STEP_SLACK or below -1e-9 is reported, not
-    raised.  A step above r!/r^r - _NEAR_EPS must start below _NEAR_DELTA:
+    A step outside [-1e-9, r!/r^r + _STEP_SLACK] is reported, not raised:
+    adding an r-set never lowers the maximum and raises it by at most
+    r!/r^r.  A step above r!/r^r - _NEAR_EPS must start below _NEAR_DELTA:
     equality needs all r coordinates of the new edge at exactly 1/r, which
     starves every earlier edge of weight.  A larger KKT residual means the
     optimizer stopped short of a stationary point, so its value may sit
@@ -191,27 +192,21 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
 
     Cover corollary: rung 0 holds the least value 0, so for neighbours a < b
     among the sorted values the first rung i reaching b has a rung i - 1 at
-    most a, and b - a is at most step i.  Once ``steps_ok`` holds, no gap on
-    the value axis exceeds r!/r^r + _STEP_SLACK.
+    most a, and b - a is at most step i.  Once ``step_violations`` is empty,
+    no gap on the value axis exceeds r!/r^r + _STEP_SLACK.
     """
-    r = lad.r
-    bound = factorial(r) / r**r
-    step_viol, mono_viol, triggered, near_viol = [], [], [], []
+    bound = float(_clique_value(lad.r, lad.r))
+    step_viol, triggered, near_viol = [], [], []
     for i, s in enumerate(lad.steps, start=1):
-        if s > bound + _STEP_SLACK:
+        if not -1e-9 <= s <= bound + _STEP_SLACK:
             step_viol.append(i)
-        if s < -1e-9:
-            mono_viol.append(i)
         if s > bound - _NEAR_EPS:
             triggered.append(i)
             if lad.values[i - 1] >= _NEAR_DELTA:
                 near_viol.append(i)
     return GapReport(
-        r=r,
-        m=lad.m,
         bound=bound,
         step_violations=tuple(step_viol),
-        monotone_violations=tuple(mono_viol),
         near_triggered=tuple(triggered),
         near_violations=tuple(near_viol),
         kkt_violations=tuple(

@@ -150,7 +150,7 @@ def _handle_chain(args) -> Result:
         "closed_form_rungs": list(lad.closed_form_rungs),
         "max_step": lad.max_step,
         "max_step_index": lad.max_step_index,
-        "gap_ok": gap.steps_ok,
+        "gap_ok": not gap.step_violations,
         "near_equality_ok": not gap.near_violations,
         "kkt_ok": not gap.kkt_violations,
     }

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .patterns import Pattern, json_int
+from .simplex import _check_seed
 
 Composition = tuple[int, ...]
 
@@ -260,6 +261,7 @@ def bunching_verify(r: int, h, seed: int = 0) -> BunchingReport:
     px^(k+i) py^(k-i), with L the window's binomial sum, so the sampled
     minimum is exact.
     """
+    seed = _check_seed(seed)
     h2 = _doubled_index(h, "h")
     valid = bunching_indices(r)
     if h2 not in valid:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dominance import Composition, DownSet, linear_extension, pattern_of
-from .simplex import certify_max_upper, maximize
+from .simplex import _check_seed, certify_max_upper, maximize
 
 _MC_BLOCK = 1 << 12  # Monte Carlo rows drawn and tallied at a time
 _MC_ALPHA = 1e-6  # false-alarm rate of one mc_verdict, over all its shapes
@@ -145,6 +145,7 @@ def monte_carlo_urns(
     For 11 <= r <= 35 the table would outgrow it (524161 entries at r = 12),
     so a binary search over the sorted shape keys finds the slots instead.
     """
+    seed = _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if r > _MC_MAX_R:

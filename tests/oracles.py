@@ -6,11 +6,11 @@ a pattern's coefficient sum (`Pattern.coefficient_sum`) checks
 the edge lists of `blow_up`; the widest gap between sorted chain values
 checks the cover corollary of `verify_gap_bound`.  Restriction of a
 down-set, the variable deletion behind the uniform-point lemma, is used only
-by tests that check down-closure survives it.  The complete pattern K_m and
-random patterns with repeated elements are test fixtures.  The
-tuple-by-tuple simplex grid checks the numpy grid of `certify_max_upper`,
-and the Fraction sampling loop checks the integer-numerator minimum of
-`bunching_verify`.  The full-size batched ascent, with its own projection,
+by tests that check down-closure survives it.  The complete pattern K_m,
+random patterns with repeated elements and chain ladders with given rung
+values are test fixtures.  The tuple-by-tuple simplex grid checks the numpy
+grid of `certify_max_upper`, and the Fraction sampling loop checks the
+integer-numerator minimum of `bunching_verify`.  The full-size batched ascent, with its own projection,
 checks `maximize` bit for bit.
 """
 
@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from turangap.chain import ChainLadder, edge_enumeration
 from turangap.dominance import Composition, DownSet, compositions
 from turangap.patterns import Pattern, simple_pattern
 import turangap.simplex as sx
@@ -43,6 +44,15 @@ def random_pattern(rng: random.Random, r_max=5, m_max=6) -> Pattern:
             counts[rng.randrange(m)] += 1
         mults.add(tuple(counts))
     return Pattern(r, m, tuple(sorted(mults)))
+
+
+def fabricated_ladder(*values: float) -> ChainLadder:
+    """An r=3 ladder on 8 vertices with the given rung values, no optimizer
+    run; the top rung is closed-form, as in every built ladder."""
+    edges = edge_enumeration(3, 8)[: len(values) - 1]
+    exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
+    return ChainLadder(3, 8, edges, values, exact,
+                       ((0.125,) * 8,) * len(values), (0.0,) * len(values))
 
 
 def max_value_gap(values: Sequence[float]) -> float:

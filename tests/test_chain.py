@@ -10,12 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from turangap import build_chain_ladder, minimal_m, verify_gap_bound
-from turangap.chain import _KKT_BOUND, _STEP_SLACK, ChainLadder, edge_enumeration
+from turangap.chain import _KKT_BOUND, _STEP_SLACK, _clique_value, edge_enumeration
 from turangap.patterns import simple_pattern
 import turangap.simplex as sx
 from turangap.simplex import maximize
 
-from oracles import max_value_gap
+from oracles import fabricated_ladder, max_value_gap
 
 
 def test_minimal_m_r3_is_13():
@@ -33,12 +33,11 @@ def test_minimal_m_r2():
 
 def test_minimal_m_grows():
     values = [minimal_m(r) for r in range(2, 7)]
-    assert values == sorted(values)
-    assert all(v > r for r, v in zip(range(2, 7), values))
+    assert values == [3, 13, 63, 257, 967]
 
 
 def test_edge_enumeration_colex():
-    assert edge_enumeration(4, 3) == (
+    assert edge_enumeration(3, 4) == (
         (1, 2, 3),
         (1, 2, 4),
         (1, 3, 4),
@@ -47,19 +46,19 @@ def test_edge_enumeration_colex():
 
 
 def test_edge_enumeration_lex():
-    got = edge_enumeration(4, 3, rule="lex")
+    got = edge_enumeration(3, 4, order="lex")
     assert got == tuple(combinations(range(1, 5), 3))
 
 
 def test_edge_enumeration_random_is_seeded_permutation():
-    a = edge_enumeration(5, 3, rule="random", seed=11)
-    b = edge_enumeration(5, 3, rule="random", seed=11)
-    c = edge_enumeration(5, 3, rule="random", seed=12)
+    a = edge_enumeration(3, 5, order="random", seed=11)
+    b = edge_enumeration(3, 5, order="random", seed=11)
+    c = edge_enumeration(3, 5, order="random", seed=12)
     assert a == b
-    assert sorted(a) == sorted(edge_enumeration(5, 3, rule="lex"))
+    assert sorted(a) == sorted(edge_enumeration(3, 5, order="lex"))
     assert c != a
     with pytest.raises(ValueError):
-        edge_enumeration(5, 3, rule="shuffled")
+        edge_enumeration(3, 5, order="shuffled")
 
 
 def test_single_edge_chain_m_equals_r():
@@ -76,9 +75,8 @@ def test_m6_chain_satisfies_every_check():
     assert len(lad.values) == comb(6, 3) + 1
 
     gap = verify_gap_bound(lad)
-    assert gap.ok and gap.steps_ok
+    assert gap.ok
     assert gap.step_violations == ()
-    assert gap.monotone_violations == ()
     assert lad.max_step <= 2 / 9 + 1e-6
     # the very first edge is the worst step at this size
     assert lad.max_step_index == 1
@@ -110,42 +108,32 @@ def test_chain_values_monotone_r4():
 
 def test_gap_report_fields():
     gap = verify_gap_bound(build_chain_ladder(3, 4))
-    assert gap.r == 3 and gap.m == 4
-    assert abs(gap.bound - 2 / 9) < 1e-15
+    assert gap.bound == 2 / 9
+    # the exact lambda(K_r), rounded once, is the float r!/r^r
+    assert all(float(_clique_value(r, r)) == factorial(r) / r**r for r in range(2, 40))
     assert gap.near_triggered == (1,)
     assert gap.ok
 
 
-def _fabricated_ladder(*values: float) -> ChainLadder:
-    """An r=3 ladder with the given rung values, no optimizer run; the top
-    rung is closed-form, as in every built ladder."""
-    edges = edge_enumeration(8, 3)[: len(values) - 1]
-    exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
-    return ChainLadder(3, 8, edges, values, exact,
-                       ((0.125,) * 8,) * len(values), (0.0,) * len(values))
-
-
 def test_chain_checks_fail_beyond_their_float_slack():
-    # steps are checked against 2/9 with 1e-6 slack, falls with 1e-9
-    assert verify_gap_bound(_fabricated_ladder(0.0, 2 / 9 + 0.5e-6)).ok
-    step_over = verify_gap_bound(_fabricated_ladder(0.0, 2 / 9 + 1.5e-6))
-    assert step_over.step_violations == (1,) and not step_over.steps_ok
-    assert not step_over.ok
-    assert verify_gap_bound(_fabricated_ladder(0.0, 0.1, 0.1 - 0.5e-9)).ok
-    falling = verify_gap_bound(_fabricated_ladder(0.0, 0.1, 0.1 - 2e-9))
-    assert falling.monotone_violations == (2,) and not falling.steps_ok
-    assert not falling.ok
+    # each step must lie in [0, 2/9], with 1e-9 slack below and 1e-6 above
+    assert verify_gap_bound(fabricated_ladder(0.0, 2 / 9 + 0.5e-6)).ok
+    step_over = verify_gap_bound(fabricated_ladder(0.0, 2 / 9 + 1.5e-6))
+    assert step_over.step_violations == (1,) and not step_over.ok
+    assert verify_gap_bound(fabricated_ladder(0.0, 0.1, 0.1 - 0.5e-9)).ok
+    falling = verify_gap_bound(fabricated_ladder(0.0, 0.1, 0.1 - 2e-9))
+    assert falling.step_violations == (2,) and not falling.ok
 
 
 def test_near_equality_fails_on_a_large_predecessor():
     # a step within 0.01 of 2/9 must start from a value below 0.01
-    gap = verify_gap_bound(_fabricated_ladder(0.0, 0.0099, 0.0099 + 2 / 9 - 0.005))
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.0099, 0.0099 + 2 / 9 - 0.005))
     assert gap.near_triggered == (2,) and gap.ok
-    gap = verify_gap_bound(_fabricated_ladder(0.0, 0.0101, 0.0101 + 2 / 9 - 0.005))
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.0101, 0.0101 + 2 / 9 - 0.005))
     assert gap.near_triggered == (2,) and gap.near_violations == (2,)
-    assert gap.steps_ok and not gap.ok
+    assert not gap.step_violations and not gap.ok
     # a step just short of 2/9 - 0.01 is not audited at all
-    gap = verify_gap_bound(_fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.0101))
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.0101))
     assert gap.near_triggered == () and gap.ok
 
 
@@ -156,17 +144,17 @@ def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
         mp.setattr(sx, "_MAX_ITERATIONS", 1)
         starved = build_chain_ladder(3, 5)
     gap = verify_gap_bound(starved)
-    assert gap.steps_ok and not gap.near_violations
+    assert not gap.step_violations and not gap.near_violations
     assert gap.kkt_violations == (3, 8, 9) and not gap.ok
     assert all(starved.exact_values[i] is None for i in gap.kkt_violations)
     assert verify_gap_bound(build_chain_ladder(3, 5)).kkt_violations == ()
 
 
 def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
-    lad = _fabricated_ladder(0.0, 0.1, 0.2)  # rung 1 optimized, rung 2 closed-form
+    lad = fabricated_ladder(0.0, 0.1, 0.2)  # rung 1 optimized, rung 2 closed-form
     assert verify_gap_bound(replace(lad, kkt_residuals=(0.0, _KKT_BOUND, 1.0))).ok
     over = verify_gap_bound(replace(lad, kkt_residuals=(0.0, 1.5 * _KKT_BOUND, 0.0)))
-    assert over.kkt_violations == (1,) and over.steps_ok and not over.ok
+    assert over.kkt_violations == (1,) and not over.step_violations and not over.ok
 
 
 _STEPS = st.one_of(st.floats(-0.3, 0.3), st.floats(-1e-9, 0.0),
@@ -179,7 +167,7 @@ def test_bounded_steps_leave_no_longer_gap_on_the_value_axis(steps):
     values = [0.0]
     for d in steps:
         values.append(max(0.0, values[-1] + d))
-    if verify_gap_bound(_fabricated_ladder(*values)).steps_ok:
+    if not verify_gap_bound(fabricated_ladder(*values)).step_violations:
         assert max_value_gap(values) <= 2 / 9 + _STEP_SLACK
 
 

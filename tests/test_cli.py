@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,8 @@ from turangap import DownSet, simple_pattern
 from turangap.cli import build_parser, dispatch
 from turangap.dominance import downset_to_dict
 from turangap.patterns import pattern_to_dict
+
+from oracles import fabricated_ladder
 
 WORKED = {"r": 3, "m": 3, "multisets": [[1, 1, 2], [1, 2, 3]]}
 
@@ -154,6 +157,35 @@ def test_chain_subcommand(tmp_path, capsys):
     assert obj["gap_ok"] and obj["near_equality_ok"] and obj["kkt_ok"]
     assert obj["max_step"] <= 2 / 9 + 1e-6
     assert "\nkkt residuals: ok (largest " in out
+
+
+_VERDICT_LINES = {"gap_ok": "step bound: ",
+                  "near_equality_ok": "near-equality rungs ",
+                  "kkt_ok": "kkt residuals: "}
+
+
+@pytest.mark.parametrize("lad,flag,where", [
+    (fabricated_ladder(0.0, 2 / 9, 0.25, 0.24), "gap_ok", (3,)),  # a falling rung
+    (fabricated_ladder(0.0, 0.005, 0.005 + 2 / 9 + 2e-6), "gap_ok", (2,)),
+    (fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.005), "near_equality_ok", (2,)),
+    (replace(fabricated_ladder(0.0, 0.1, 0.2), kkt_residuals=(0.0, 2e-6, 0.0)),
+     "kkt_ok", (1,)),
+], ids=["falling", "step-over", "near-equality", "kkt"])
+def test_every_chain_verdict_line_can_fail(tmp_path, capsys, monkeypatch, lad, flag, where):
+    # each fabricated ladder breaks one check: its summary line, its JSON
+    # flag and the exit code all say so, and the other two checks pass
+    monkeypatch.setattr("turangap.cli.build_chain_ladder", lambda *args: lad)
+    code = dispatch(["chain", "--r", "3", "--m", "8", "--format", "json",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    obj = json.loads(_artifacts(tmp_path, "chain-")[0][0].read_text())
+    for name, prefix in _VERDICT_LINES.items():
+        line = next(x for x in lines if x.startswith(prefix))
+        if name == flag:
+            assert f"VIOLATED at {where}" in line and obj[name] is False
+        else:
+            assert ": ok" in line and "VIOLATED" not in line and obj[name] is True
 
 
 def test_chain_requires_m(tmp_path):

@@ -18,12 +18,15 @@ from turangap import (
     DownSet,
     Pattern,
     build_chain_ladder,
+    bunching_verify,
     certificate,
     evaluate,
     maximize,
+    monte_carlo_urns,
     simple_pattern,
 )
 import turangap.chain as chain_module
+from turangap.chain import edge_enumeration
 import turangap.simplex as sx
 from turangap.dominance import compositions, iter_down_sets, pattern_of
 from turangap.exact_ladder import _GRID_RESOLUTION
@@ -233,7 +236,8 @@ def test_certify_max_upper_same_bound_over_tuple_grid(monkeypatch):
         assert [certify_max_upper(p, res) for p, res in patterns] == bounds
 
 
-# the (r, s) cases of the benchmark's lemma workload, all with s <= 4
+# the (r, s) cases of the benchmark's lemma workload: 36 down-set families,
+# all with s <= 4
 BENCH_LEMMA_CASES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3))
 
 
@@ -272,17 +276,23 @@ def test_grid_sweep_peak_memory_stays_small():
 
 
 def test_entry_points_reject_bad_seeds(monkeypatch):
-    # a non-integer or negative seed fails at the call; a chain fails before
-    # it builds a rung, and does not leave a random order's shuffle to judge it
+    # a non-integer or negative seed fails at the call, wherever it would
+    # seed a generator: None would draw from OS entropy, and an order other
+    # than random must not leave the seed unchecked; a chain fails before it
+    # builds a rung
     def no_rung(*args):
         raise AssertionError("rung built before the seed was checked")
 
     monkeypatch.setattr(chain_module, "simple_pattern", no_rung)
     for bad in (-1, 2.5, 3.0, "3", None):
-        with pytest.raises(ValueError, match="seed must be"):
-            maximize(SINGLE_EDGE_3, bad)
-        with pytest.raises(ValueError, match="seed must be"):
-            build_chain_ladder(3, 5, "random", bad)
+        for call in (lambda: maximize(SINGLE_EDGE_3, bad),
+                     lambda: build_chain_ladder(3, 5, "random", bad),
+                     lambda: edge_enumeration(3, 5, "random", bad),
+                     lambda: edge_enumeration(3, 5, "colex", bad),
+                     lambda: bunching_verify(4, 1, bad),
+                     lambda: monte_carlo_urns(4, 10, bad)):
+            with pytest.raises(ValueError, match="seed must be"):
+                call()
 
 
 def test_numpy_integer_seeds_become_plain_ints():
@@ -508,10 +518,6 @@ def test_maximize_matches_best_oracle_value():
         assert res.value == pytest.approx(evaluate(p, res.point), abs=1e-15)
 
 
-# the (r, s) cases of the benchmark's lemma workload: 36 down-set families
-BENCH_LEMMA_CASES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3))
-
-
 def _fields(res):
     return (res.value, res.point.tobytes(), res.kkt_residual, res.starts_used,
             res.seed, res.start_index, res.start_kind, res.iterations)
@@ -596,9 +602,9 @@ def test_a_resumed_search_reuses_its_gradient(monkeypatch):
 
 
 def test_lemma_families_keep_their_batched_iteration_counts():
-    # one gradient batch per iteration, so the slowest start sets the count;
-    # the benchmark's iters_per_start reads these, and the degenerate family
-    # zig-zags at eta = 0.5 (its Armijo constant is left as it is)
+    # the slowest start's iteration count, for each r=3 s=3 family and for
+    # the degenerate family; the 1063 and the 2498 are starts that zig-zag at
+    # eta = 2/L (the Armijo constant is left as it is)
     batched = [max(maximize(pattern_of(a)).iterations) for a in iter_down_sets(3, 3)]
     assert sorted(batched, reverse=True) == [1063, 163, 1, 1]
     assert max(maximize(DEGENERATE).iterations) == 2498
