@@ -4,12 +4,13 @@ A one-edge-at-a-time density chain
 
 Add the triples on 6 vertices one at a time (colex order) and take the
 simplex maximum after every insertion: exactly where the rung is a complete
-pattern K_t, or K_{t-1} with a vertex pair left uncovered, and by the
-optimizer elsewhere.  Consecutive maxima never differ by more than
-3!/3^3 = 2/9, the values climb monotonically, and whenever a step comes
-close to the bound the value it started from was already near zero.
-One audit, ``verify_gap_bound``, checks all three, and that every
-optimizer rung ended at a stationary point (KKT residual at most 1e-6).
+pattern K_t, or K_{t-1} with a vertex pair left uncovered; on a segment
+where its vertices form two classes of twins (swapping two twins fixes the
+edge set); and by the optimizer elsewhere.  Consecutive maxima never differ
+by more than 3!/3^3 = 2/9, the values climb monotonically, and a step from
+value v is at most 2/9 (1 - v), so a step near the bound starts near zero.
+One audit, ``verify_gap_bound``, checks all three, and that every rung
+with no closed form ended at a stationary point (KKT residual at most 1e-6).
 """
 
 from math import comb
@@ -19,7 +20,8 @@ from turangap import build_chain_ladder, minimal_m, verify_gap_bound
 lad = build_chain_ladder(3, 6, order="colex", seed=0)
 
 print(f"{comb(6, 3)} edges inserted, {len(lad.values)} ladder rungs")
-print(f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}\n")
+print(f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}")
+print(f"segment rungs: {lad.segment_rungs}\n")
 print(" idx  value        step         kkt")
 steps = (0.0,) + lad.steps
 for i, v in enumerate(lad.values):
@@ -29,9 +31,9 @@ gap = verify_gap_bound(lad)
 print(f"\nstep bound 2/9: max step {lad.max_step:.9f} at index {lad.max_step_index}")
 # every step must lie in [0, 2/9]: no fall, no rise beyond the bound
 print(f"steps outside [0, 2/9]: {gap.step_violations}")
-# steps within 0.01 of 2/9 must start below 0.01
-print(f"near-equality rungs: {gap.near_triggered}, violations: {gap.near_violations}")
-print(f"optimizer rungs with a KKT residual above 1e-6: {gap.kkt_violations}")
+# a step from value v may not exceed 2/9 (1 - v): the full 2/9 only from 0
+print(f"steps above 2/9 (1 - previous value): {gap.near_violations}")
+print(f"rungs with no closed form and a KKT residual above 1e-6: {gap.kkt_violations}")
 # rung 0 is the least value, so bounded steps leave no longer gap on the value axis
 print(f"every check passed: {gap.ok}")
 

@@ -4,7 +4,8 @@ The enumerations check the occupancy closed form; the uniform value through
 a pattern's coefficient sum (`Pattern.coefficient_sum`) checks
 `uniform_value_exact`; the part-intersection profile of a vertex set checks
 the edge lists of `blow_up`; the widest gap between sorted chain values
-checks the cover corollary of `verify_gap_bound`.  Restriction of a
+checks the cover corollary of `verify_gap_bound`; swapping each vertex
+pair checks the twin classes of a chain rung.  Restriction of a
 down-set, the variable deletion behind the uniform-point lemma, is used only
 by tests that check down-closure survives it.  The complete pattern K_m,
 random patterns with repeated elements and chain ladders with given rung
@@ -52,13 +53,27 @@ def fabricated_ladder(*values: float) -> ChainLadder:
     edges = edge_enumeration(3, 8)[: len(values) - 1]
     exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
     return ChainLadder(3, 8, edges, values, exact,
-                       ((0.125,) * 8,) * len(values), (0.0,) * len(values))
+                       ((0.125,) * 8,) * len(values), (0.0,) * len(values), ())
 
 
 def max_value_gap(values: Sequence[float]) -> float:
     """Widest gap between neighbours among the sorted values."""
     ordered = sorted(values)
     return max(b - a for a, b in zip(ordered[:-1], ordered[1:]))
+
+
+def swap_twin_classes(edges: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """The covered vertices grouped by swap invariance: v's class is every
+    u whose exchange with v maps the edge set onto itself."""
+    have = set(edges)
+    vertices = sorted({v for e in have for v in e})
+
+    def fixed_by_swap(u: int, v: int) -> bool:
+        swap = {u: v, v: u}
+        return {tuple(sorted(swap.get(w, w) for w in e)) for e in have} == have
+
+    classes = {tuple(u for u in vertices if fixed_by_swap(u, v)) for v in vertices}
+    return sorted(map(list, classes))
 
 
 def brute_occupancy_counts(r: int, s: int) -> dict:

@@ -10,12 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from turangap import build_chain_ladder, minimal_m, verify_gap_bound
-from turangap.chain import _KKT_BOUND, _STEP_SLACK, _clique_value, edge_enumeration
+import turangap.chain as chain_module
+from turangap.chain import (
+    _KKT_BOUND,
+    _STEP_SLACK,
+    _clique_value,
+    _twin_classes,
+    edge_enumeration,
+)
 from turangap.patterns import simple_pattern
 import turangap.simplex as sx
 from turangap.simplex import maximize
 
-from oracles import fabricated_ladder, max_value_gap
+from oracles import fabricated_ladder, max_value_gap, swap_twin_classes
 
 
 def test_minimal_m_r3_is_13():
@@ -84,8 +91,6 @@ def test_m6_chain_satisfies_every_check():
     assert lad.exact_values[-1] == Fraction(5, 9)
     assert 6 < minimal_m(3)
 
-    # a step within 0.01 of the bound forces the previous value below 0.01
-    assert 1 in gap.near_triggered
     assert gap.near_violations == ()
 
     assert max_value_gap(lad.values) <= 2 / 9 + 1e-6
@@ -111,7 +116,6 @@ def test_gap_report_fields():
     assert gap.bound == 2 / 9
     # the exact lambda(K_r), rounded once, is the float r!/r^r
     assert all(float(_clique_value(r, r)) == factorial(r) / r**r for r in range(2, 40))
-    assert gap.near_triggered == (1,)
     assert gap.ok
 
 
@@ -126,15 +130,34 @@ def test_chain_checks_fail_beyond_their_float_slack():
 
 
 def test_near_equality_fails_on_a_large_predecessor():
-    # a step within 0.01 of 2/9 must start from a value below 0.01
-    gap = verify_gap_bound(fabricated_ladder(0.0, 0.0099, 0.0099 + 2 / 9 - 0.005))
-    assert gap.near_triggered == (2,) and gap.ok
-    gap = verify_gap_bound(fabricated_ladder(0.0, 0.0101, 0.0101 + 2 / 9 - 0.005))
-    assert gap.near_triggered == (2,) and gap.near_violations == (2,)
-    assert not gap.step_violations and not gap.ok
-    # a step just short of 2/9 - 0.01 is not audited at all
-    gap = verify_gap_bound(fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.0101))
-    assert gap.near_triggered == () and gap.ok
+    # step i <= 2/9 (1 - values[i - 1]): a step of 2/9 - 0.005 must start
+    # at or below 1 - (2/9 - 0.005) / (2/9) = 0.0225
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.02, 0.02 + 2 / 9 - 0.005))
+    assert gap.ok
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 - 0.005))
+    assert gap.near_violations == (2,) and not gap.step_violations and not gap.ok
+    # the full step 2/9 only from 0, with the float slack of the step bound
+    assert verify_gap_bound(fabricated_ladder(0.0, 2 / 9)).ok
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.01, 0.01 + 2 / 9))
+    assert gap.near_violations == (2,) and not gap.step_violations
+    tight = 2 / 9 * (1 - 0.2)
+    assert verify_gap_bound(fabricated_ladder(0.0, 0.2, 0.2 + tight + 0.5e-6)).ok
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.2, 0.2 + tight + 1.5e-6))
+    assert gap.near_violations == (2,) and not gap.ok
+    # a step over 2/9 is reported by the step bound alone
+    gap = verify_gap_bound(fabricated_ladder(0.0, 0.05, 0.05 + 2 / 9 + 2e-6))
+    assert gap.step_violations == (2,) and gap.near_violations == ()
+
+
+@pytest.mark.parametrize("r,m", [(2, 6), (3, 7), (4, 6), (5, 7), (6, 7)])
+def test_built_chains_meet_the_near_equality_bound_with_no_slack(r, m):
+    # step i <= b (1 - values[i - 1]), with equality at the first step; at
+    # r = 6 the bound b = 0.0154 lies below the old absolute tests' 0.01 + 0.01
+    lad = build_chain_ladder(r, m)
+    b = factorial(r) / r**r
+    excess = [s - b * (1 - v) for s, v in zip(lad.steps, lad.values)]
+    assert max(excess) == excess[0] == 0.0
+    assert verify_gap_bound(lad).ok
 
 
 def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
@@ -145,7 +168,9 @@ def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
         starved = build_chain_ladder(3, 5)
     gap = verify_gap_bound(starved)
     assert not gap.step_violations and not gap.near_violations
-    assert gap.kkt_violations == (3, 8, 9) and not gap.ok
+    # rungs 3 and 9 have two twin classes and never reach the optimizer
+    assert starved.segment_rungs == (3, 9)
+    assert gap.kkt_violations == (8,) and not gap.ok
     assert all(starved.exact_values[i] is None for i in gap.kkt_violations)
     assert verify_gap_bound(build_chain_ladder(3, 5)).kkt_violations == ()
 
@@ -213,3 +238,49 @@ def test_clique_with_every_pair_covered_runs_the_optimizer():
     # the plateau value 3/8 would be wrong here
     assert lad.values[8] > 3 / 8 + 0.01
     assert lad.exact_values[7] == Fraction(3, 8)
+
+
+_TWIN_CHAINS = [(3, 7, "colex"), (4, 6, "colex"), (5, 8, "colex"), (3, 7, "lex"),
+                (3, 7, "random")]
+
+
+@pytest.mark.parametrize("r,m,order", _TWIN_CHAINS)
+def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order):
+    lad = build_chain_ladder(r, m, order)
+    two_class = []
+    for i in range(1, len(lad.values)):
+        classes = swap_twin_classes(lad.edges[:i])
+        assert _twin_classes(lad.edges[:i]) == classes, i
+        if len(classes) == 2 and not _qualifies(r, lad.edges[:i]):
+            two_class.append(i)
+    assert lad.segment_rungs == tuple(two_class)
+
+
+@pytest.mark.parametrize("r,m,order,count", [
+    (3, 7, "colex", 4), (4, 6, "colex", 4), (5, 8, "colex", 9), (3, 13, "colex", 10),
+    (3, 7, "lex", 7), (3, 7, "random", 1)])
+def test_segment_rungs_match_the_warm_started_optimizer(monkeypatch, r, m, order, count):
+    calls = []
+    monkeypatch.setattr(chain_module, "maximize",
+                        lambda p, *args, **kw: calls.append(p) or maximize(p, *args, **kw))
+    lad = build_chain_ladder(r, m, order)
+    assert len(lad.segment_rungs) == count
+    # every rung is closed-form, solved on a segment or optimized, never two
+    assert len(calls) == len(lad.edges) - len(lad.closed_form_rungs) - count
+    assert not set(lad.segment_rungs) & set(lad.closed_form_rungs)
+    for i in lad.segment_rungs:
+        pattern = simple_pattern(r, m, lad.edges[:i])
+        assert pattern not in calls
+        oracle = maximize(pattern, extra_starts=[lad.points[i - 1]])
+        assert abs(oracle.value - lad.values[i]) <= 1e-12, i
+        assert lad.exact_values[i] is None and lad.kkt_residuals[i] <= 1e-7, i
+
+
+def test_rational_segment_rungs():
+    # colex r=3 rung 3 is {123, 124, 134}: vertex 1, then 2, 3, 4
+    lad = build_chain_ladder(3, 7)
+    assert 3 in lad.segment_rungs and abs(lad.values[3] - 8 / 27) <= 1e-15
+    lad = build_chain_ladder(4, 6)
+    assert {3, 4} <= set(lad.segment_rungs)
+    assert abs(lad.values[3] - 1 / 8) <= 1e-15
+    assert abs(lad.values[4] - 81 / 512) <= 1e-15

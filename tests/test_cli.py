@@ -155,12 +155,15 @@ def test_chain_subcommand(tmp_path, capsys):
     assert obj["r"] == 3 and obj["m"] == 5
     assert len(obj["values"]) == 11  # C(5,3) rungs plus the start
     assert obj["gap_ok"] and obj["near_equality_ok"] and obj["kkt_ok"]
+    assert obj["top_ok"] is None  # m = 5 < minimal_m(3): nothing claimed
     assert obj["max_step"] <= 2 / 9 + 1e-6
     assert "\nkkt residuals: ok (largest " in out
+    # rungs 3 and 9 have two twin classes
+    assert obj["segment_rungs"] == [3, 9] and "\nsegment rungs: 2 of 10\n" in out
 
 
 _VERDICT_LINES = {"gap_ok": "step bound: ",
-                  "near_equality_ok": "near-equality rungs ",
+                  "near_equality_ok": "near-equality: ",
                   "kkt_ok": "kkt residuals: "}
 
 
@@ -190,6 +193,25 @@ def test_every_chain_verdict_line_can_fail(tmp_path, capsys, monkeypatch, lad, f
 
 def test_chain_requires_m(tmp_path):
     assert dispatch(["chain", "--r", "3", "--out", str(tmp_path)]) == 2
+
+
+def test_chain_r6_passes_the_near_equality_audit(tmp_path, capsys):
+    # r!/r^r = 0.0154 at r = 6: steps of 0.0055 from 0.021 are within bound
+    assert dispatch(["chain", "--r", "6", "--m", "7", "--out", str(tmp_path)]) == 0
+    assert "\nnear-equality: ok\n" in capsys.readouterr().out
+
+
+def test_chain_fails_a_top_value_below_the_threshold(tmp_path, capsys, monkeypatch):
+    # from minimal_m on, the top rung is compared with 1 - 2/9 exactly
+    lad = fabricated_ladder(0.0, 2 / 9, 0.24)
+    monkeypatch.setattr("turangap.cli.build_chain_ladder", lambda *args: lad)
+    code = dispatch(["chain", "--r", "3", "--m", "13", "--format", "json",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "checked: VIOLATED)" in out and "near-equality: ok" in out
+    obj = json.loads(_artifacts(tmp_path, "chain-")[0][0].read_text())
+    assert obj["top_ok"] is False and obj["gap_ok"] and obj["near_equality_ok"]
 
 
 def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys):
