@@ -9,8 +9,9 @@ where its vertices form two classes of twins (swapping two twins fixes the
 edge set); and by the optimizer elsewhere.  Consecutive maxima never differ
 by more than 3!/3^3 = 2/9, the values climb monotonically, and a step from
 value v is at most 2/9 (1 - v), so a step near the bound starts near zero.
-One audit, ``verify_gap_bound``, checks all three, and that every rung
-with no closed form ended at a stationary point (KKT residual at most 1e-6).
+One audit, ``verify_gap_bound``, checks all three, that every rung with
+no closed form ended at a stationary point (KKT residual at most 1e-6),
+and, from m = minimal_m(3) = 13 on, that the top value crosses 1 - 2/9.
 """
 
 from math import comb
@@ -39,5 +40,7 @@ print(f"every check passed: {gap.ok}")
 
 # 6 vertices cannot push the density past 1 - 2/9; that takes m >= 13
 print(f"\ntop value {lad.exact_values[-1]} vs threshold {1 - gap.bound:.6f}")
+# below minimal_m the audit claims nothing about the top rung
+print(f"top value checked: {gap.top_ok}")
 print(f"smallest m whose complete density crosses it: {minimal_m(3)}")
-print("rerun with build_chain_ladder(3, 13) to watch the crossing (a few seconds)")
+print("rerun with build_chain_ladder(3, 13) to watch the crossing")

@@ -3,10 +3,12 @@
 Adding a single r-set to a pattern never lowers the simplex maximum and
 raises it by at most r!/r^r (the product of r simplex coordinates never
 exceeds r^-r), so every step of a chain lies in [0, r!/r^r].  The top rung,
-always the complete pattern K_m, lies above 1 - r!/r^r exactly when
-m >= minimal_m(r).  ``verify_gap_bound`` is the one audit of a ladder's
-steps; once its ``step_violations`` is empty, the ladder sweeps the value
-axis with no gap longer than r!/r^r.
+always the complete pattern K_m, has lambda(K_m) = prod_{i<r} (1 - i/m),
+which grows with m and lies above 1 - r!/r^r exactly when m >= minimal_m(r).
+By Weierstrass's product inequality lambda(K_m) >= 1 - C(r, 2)/m, so
+m = floor(C(r, 2) r^r / r!) + 1 already crosses.  ``verify_gap_bound`` is
+the one audit of a ladder, its steps and its top rung; once it is ok, the
+ladder sweeps the value axis with no gap longer than r!/r^r.
 
 A step is bounded further by where it starts.  Let x maximize rung i, which
 adds the edge e, let b = r!/r^r, and let w be the weight x puts on e.  Then
@@ -62,13 +64,14 @@ def _clique_value(r: int, t: int) -> Fraction:
 
 
 def minimal_m(r: int) -> int:
-    """Smallest m with lambda(K_m) > 1 - r!/r^r, decided exactly."""
+    """Smallest m with lambda(K_m) > 1 - r!/r^r, decided exactly: from the
+    Weierstrass bound down, while m - 1 still crosses."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     target = 1 - _clique_value(r, r)
-    m = r
-    while _clique_value(r, m) <= target:
-        m += 1
+    m = comb(r, 2) * r**r // factorial(r) + 1
+    while _clique_value(r, m - 1) > target:
+        m -= 1
     return m
 
 
@@ -267,22 +270,25 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
 
 @dataclass(frozen=True)
 class GapReport:
-    """Step audit of a chain ladder: step i runs from rung i - 1 to rung i."""
+    """Audit of a chain ladder: step i runs from rung i - 1 to rung i, and
+    ``top_ok`` is None while lambda(K_m) <= 1 - r!/r^r, which claims nothing."""
 
     bound: float  # r!/r^r
     step_violations: tuple[int, ...]
     near_violations: tuple[int, ...]
     kkt_violations: tuple[int, ...]
+    top_ok: bool | None
 
     @property
     def ok(self) -> bool:
-        return not (self.step_violations or self.near_violations or self.kkt_violations)
+        return not (self.step_violations or self.near_violations or self.kkt_violations
+                    or self.top_ok is False)
 
 
 def verify_gap_bound(lad: ChainLadder) -> GapReport:
     """Check every step against [0, r!/r^r] and against where it starts,
-    and the KKT residual of every rung with no closed form against
-    _KKT_BOUND.
+    the KKT residual of every rung with no closed form against _KKT_BOUND,
+    and, once lambda(K_m) > 1 - r!/r^r, that the top rung has an exact value above it.
 
     A step outside [-1e-9, r!/r^r + _STEP_SLACK] is reported, not raised:
     adding an r-set never lowers the maximum and raises it by at most
@@ -297,7 +303,8 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
     most a, and b - a is at most step i.  Once ``step_violations`` is empty,
     no gap on the value axis exceeds r!/r^r + _STEP_SLACK.
     """
-    bound = float(_clique_value(lad.r, lad.r))
+    target, top = 1 - _clique_value(lad.r, lad.r), lad.exact_values[-1]
+    bound = float(1 - target)
     step_viol, near_viol = [], []
     for i, s in enumerate(lad.steps, start=1):
         if not -1e-9 <= s <= bound + _STEP_SLACK:
@@ -311,4 +318,6 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
         kkt_violations=tuple(
             i for i, (exact, kkt) in enumerate(zip(lad.exact_values, lad.kkt_residuals))
             if exact is None and kkt > _KKT_BOUND),
+        top_ok=None if _clique_value(lad.r, lad.m) <= target
+        else top is not None and top > target,
     )

@@ -4,8 +4,9 @@ The enumerations check the occupancy closed form; the uniform value through
 a pattern's coefficient sum (`Pattern.coefficient_sum`) checks
 `uniform_value_exact`; the part-intersection profile of a vertex set checks
 the edge lists of `blow_up`; the widest gap between sorted chain values
-checks the cover corollary of `verify_gap_bound`; swapping each vertex
-pair checks the twin classes of a chain rung.  Restriction of a
+checks the cover corollary of `verify_gap_bound`; walking m up from r
+checks `minimal_m`, which walks down from the Weierstrass bound; swapping
+each vertex pair checks the twin classes of a chain rung.  Restriction of a
 down-set, the variable deletion behind the uniform-point lemma, is used only
 by tests that check down-closure survives it.  The complete pattern K_m,
 random patterns with repeated elements and chain ladders with given rung
@@ -47,13 +48,22 @@ def random_pattern(rng: random.Random, r_max=5, m_max=6) -> Pattern:
     return Pattern(r, m, tuple(sorted(mults)))
 
 
-def fabricated_ladder(*values: float) -> ChainLadder:
-    """An r=3 ladder on 8 vertices with the given rung values, no optimizer
+def fabricated_ladder(*values: float, m: int = 8) -> ChainLadder:
+    """An r=3 ladder on m vertices with the given rung values, no optimizer
     run; the top rung is closed-form, as in every built ladder."""
-    edges = edge_enumeration(3, 8)[: len(values) - 1]
+    edges = edge_enumeration(3, m)[: len(values) - 1]
     exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
-    return ChainLadder(3, 8, edges, values, exact,
-                       ((0.125,) * 8,) * len(values), (0.0,) * len(values), ())
+    return ChainLadder(3, m, edges, values, exact,
+                       ((1 / m,) * m,) * len(values), (0.0,) * len(values), ())
+
+
+def minimal_m_by_walk(r: int) -> int:
+    """Smallest m with lambda(K_m) > 1 - r!/r^r, walking m up from r."""
+    target = 1 - Fraction(factorial(r), r**r)
+    m = r
+    while Fraction(factorial(r) * comb(m, r), m**r) <= target:
+        m += 1
+    return m
 
 
 def max_value_gap(values: Sequence[float]) -> float:

@@ -110,6 +110,8 @@ def test_criterion_04b_chain_crosses_threshold(capsys):
         failures.append(f"top {lad.exact_values[-1]} vs 132/169")
     if lad.exact_values[-1] <= 1 - Fraction(2, 9):
         failures.append(f"top {lad.exact_values[-1]} does not cross 7/9")
+    if gap.top_ok is not True:
+        failures.append(f"gap report top_ok {gap.top_ok}, not True")
     if not gap.ok:
         failures.append("gap report not ok")
     if max(lad.kkt_residuals) >= 1e-6:

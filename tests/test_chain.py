@@ -22,7 +22,7 @@ from turangap.patterns import simple_pattern
 import turangap.simplex as sx
 from turangap.simplex import maximize
 
-from oracles import fabricated_ladder, max_value_gap, swap_twin_classes
+from oracles import fabricated_ladder, max_value_gap, minimal_m_by_walk, swap_twin_classes
 
 
 def test_minimal_m_r3_is_13():
@@ -41,6 +41,34 @@ def test_minimal_m_r2():
 def test_minimal_m_grows():
     values = [minimal_m(r) for r in range(2, 7)]
     assert values == [3, 13, 63, 257, 967]
+
+
+def test_minimal_m_matches_the_walk_up_from_r():
+    assert [minimal_m(r) for r in range(2, 11)] == [minimal_m_by_walk(r) for r in range(2, 11)]
+    # the walk up takes seconds at r = 12 and over a minute at r = 14
+    assert minimal_m(12) == 1228490
+    assert minimal_m(14) == 11599093
+
+
+def test_top_verdict_reads_the_ladders_own_m(monkeypatch):
+    # the audit never walks m: lambda(K_m) is compared with 1 - r!/r^r directly
+    monkeypatch.setattr(chain_module, "minimal_m", lambda r: pytest.fail("walked m"))
+    assert verify_gap_bound(build_chain_ladder(3, 13)).top_ok is True
+    # 0.24 on top claims nothing on 8 vertices and fails on 13
+    assert verify_gap_bound(fabricated_ladder(0.0, 2 / 9, 0.24)).top_ok is None
+    below = verify_gap_bound(fabricated_ladder(0.0, 2 / 9, 0.24, m=13))
+    assert below.top_ok is False and not below.step_violations and not below.ok
+    # the r = 2 boundary: (m - 1)/m crosses 1/2 from m = 3 on
+    assert verify_gap_bound(build_chain_ladder(2, 2)).top_ok is None
+    assert verify_gap_bound(build_chain_ladder(2, 3)).top_ok is True
+
+
+def test_a_top_rung_with_no_exact_value_fails_from_minimal_m():
+    # each step the largest from where it starts: 1 - (7/9)^7 = 0.83 on top
+    lad = fabricated_ladder(*(1 - (7 / 9)**k for k in range(8)), m=13)
+    assert verify_gap_bound(lad).ok and verify_gap_bound(lad).top_ok
+    gap = verify_gap_bound(replace(lad, exact_values=lad.exact_values[:-1] + (None,)))
+    assert gap.top_ok is False and not gap.ok
 
 
 def test_edge_enumeration_colex():

@@ -202,8 +202,8 @@ def test_chain_r6_passes_the_near_equality_audit(tmp_path, capsys):
 
 
 def test_chain_fails_a_top_value_below_the_threshold(tmp_path, capsys, monkeypatch):
-    # from minimal_m on, the top rung is compared with 1 - 2/9 exactly
-    lad = fabricated_ladder(0.0, 2 / 9, 0.24)
+    # on 13 = minimal_m(3) vertices the top rung is compared with 1 - 2/9 exactly
+    lad = fabricated_ladder(0.0, 2 / 9, 0.24, m=13)
     monkeypatch.setattr("turangap.cli.build_chain_ladder", lambda *args: lad)
     code = dispatch(["chain", "--r", "3", "--m", "13", "--format", "json",
                      "--out", str(tmp_path)])
@@ -214,8 +214,11 @@ def test_chain_fails_a_top_value_below_the_threshold(tmp_path, capsys, monkeypat
     assert obj["top_ok"] is False and obj["gap_ok"] and obj["near_equality_ok"]
 
 
-def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys):
-    # 3 = minimal_m(2), the smallest m whose top rung crosses 1/2
+def test_chain_checks_the_top_from_minimal_m(tmp_path, capsys, monkeypatch):
+    # 3 = minimal_m(2), the smallest m whose top rung crosses 1/2; the audit
+    # decides it from lambda(K_m) alone, never walking m
+    for where in ("turangap.chain.minimal_m", "turangap.cli.minimal_m"):
+        monkeypatch.setattr(where, lambda r: pytest.fail("walked m"))
     assert dispatch(["chain", "--r", "2", "--m", "3", "--out", str(tmp_path)]) == 0
     assert "(threshold 0.500000000, checked: True)" in capsys.readouterr().out
     assert dispatch(["chain", "--r", "2", "--m", "2", "--out", str(tmp_path)]) == 0
