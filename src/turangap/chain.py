@@ -26,19 +26,23 @@ Each rung takes one of three routes, decided from its own edge set.
   pair in no edge has lambda(K_{t-1}) exactly: one weight of an uncovered
   pair can be set to zero (Frankl and Rodl, Combinatorica 1984), leaving
   t - 1 vertices.
-- Segment.  Vertices u and v are twins when swapping them fixes the edge
-  set.  Along x + t(e_u - e_v), lambda is concave in t and symmetric about
-  x_u = x_v, so averaging twins never lowers it (the argument behind
+- Bernstein.  Vertices u and v are twins when swapping them fixes the
+  edge set.  Along x + t(e_u - e_v), lambda is concave in t and symmetric
+  about x_u = x_v, so averaging twins never lowers it (the argument behind
   Frankl and Rodl, and Talbot's colex Lagrangians, CPC 2002), and some
   maximizer is constant on each twin class.  An uncovered vertex takes
   weight 0, as lambda is homogeneous with non-negative coefficients.  A
-  rung whose covered vertices form two twin classes A and B therefore
-  peaks on the segment s/|A| on A, (1 - s)/|B| on B, where lambda is the
-  degree-r Bernstein polynomial with coefficients
-  beta_j = r! N_j / (C(r, j) |A|^j |B|^(r-j)), N_j counting the edges that
-  meet A in j vertices.  De Casteljau halving of [0, 1] finds its maximum
-  with no starts or step sizes.
-- Optimizer.  Every other rung runs ``maximize``.
+  rung whose covered vertices form k = 2 or 3 twin classes therefore peaks
+  at y_c/|c| on each class c, y on the segment or triangle of class
+  weights, where lambda is the degree-r Bernstein polynomial with
+  coefficients beta_alpha = N_alpha prod_c alpha_c! / |c|^alpha_c, N_alpha
+  counting the edges with alpha_c vertices in each class c.  The largest
+  coefficient of a piece bounds it there (Farin, CAGD 1986), and a corner
+  coefficient is its value.  Branch and bound splits each live piece at
+  its edge midpoints, drops it once its largest coefficient is at most
+  best (1 + 4e-16), and keeps at most _MAX_PIECES pieces for _MAX_DEPTH
+  levels; it takes no starts or step sizes.
+- Optimizer.  Every other rung, four or more twin classes, runs ``maximize``.
 """
 
 from __future__ import annotations
@@ -47,15 +51,20 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from functools import lru_cache
+from itertools import combinations, product
+from math import comb, factorial, prod
 from typing import Sequence
+
+import numpy as np
 
 from .patterns import evaluate, simple_pattern
 from .simplex import _check_seed, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step checks
 _KKT_BOUND = 1e-6  # largest first-order residual a rung with no closed form may keep
+_MAX_DEPTH = 26  # levels of Bernstein subdivision; deeper, rounding keeps pieces alive
+_MAX_PIECES = 256  # live pieces per level, for maxima along a line or a face
 
 
 def _clique_value(r: int, t: int) -> Fraction:
@@ -99,8 +108,9 @@ def edge_enumeration(
 class ChainLadder:
     """Certified values along one chain of r-sets on m vertices, index i
     holding the i-edge pattern.  ``exact_values[i]`` is the closed-form
-    value, 0 at rung 0, None where the segment or the optimizer ran;
-    ``segment_rungs`` lists the rungs solved on a segment."""
+    value, 0 at rung 0, None where Bernstein or the optimizer ran; the
+    Bernstein rungs with two and three twin classes are listed in
+    ``segment_rungs`` and ``triangle_rungs``."""
 
     r: int
     m: int
@@ -110,6 +120,7 @@ class ChainLadder:
     points: tuple[tuple[float, ...], ...]
     kkt_residuals: tuple[float, ...]
     segment_rungs: tuple[int, ...]
+    triangle_rungs: tuple[int, ...]
 
     @property
     def closed_form_rungs(self) -> tuple[int, ...]:
@@ -157,8 +168,8 @@ def _twin_classes(edges: Sequence[tuple[int, ...]]) -> list[list[int]]:
 
     u and v are twins when swapping them fixes the edge set, that is when
     u's link without v equals v's link without u, as sets of (r-1)-tuples.
-    Twinhood is an equivalence, so each vertex is compared with the first
-    vertex of each class only.
+    Twins have equal degrees, and twinhood is an equivalence, so each
+    vertex is compared with the first vertex of each class of its degree.
     """
     links: dict[int, set[tuple[int, ...]]] = {}
     for e in edges:
@@ -168,7 +179,8 @@ def _twin_classes(edges: Sequence[tuple[int, ...]]) -> list[list[int]]:
     for v in sorted(links):
         for cls in classes:
             u = cls[0]
-            if {f for f in links[u] if v not in f} == {f for f in links[v] if u not in f}:
+            if len(links[u]) == len(links[v]) and (
+                    {f for f in links[u] if v not in f} == {f for f in links[v] if u not in f}):
                 cls.append(v)
                 break
         else:
@@ -176,61 +188,86 @@ def _twin_classes(edges: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return classes
 
 
-def _segment_argmax(beta: Sequence[float]) -> float:
-    """A maximizer on [0, 1] of the Bernstein polynomial with coefficients beta.
+@lru_cache(maxsize=None)
+def _subdivision(r: int, k: int) -> tuple[list, list[int], np.ndarray, np.ndarray]:
+    """Midpoint subdivision on the (k - 1)-simplex, k = 2 or 3: the
+    multi-indices alpha of degree r, the positions of the corner
+    coefficients, each child's vertices in parent barycentric coordinates,
+    and the matrix taking a piece's coefficients to its children's.
 
-    The largest coefficient of a piece bounds the polynomial there, and
-    halving a piece by de Casteljau gives both halves' coefficients and the
-    midpoint value, the left half's last coefficient.  Starting from the
-    endpoint values, a piece is dropped once its largest coefficient is at
-    most best (1 + 4e-16), and no piece narrower than 2^-40 is split.
+    Each child vertex is a midpoint (e_p + e_q)/2, a corner when p = q.
+    Child coefficient gamma is the blossom at gamma_j copies of vertex j: it
+    averages beta over the ways of sending each copy to e_p or e_q, with
+    binomial weights over 2^r, exact in floats.
     """
-    best, arg = (beta[-1], 1.0) if beta[-1] > beta[0] else (beta[0], 0.0)
-    pieces = [(0.0, 1.0, list(beta))]
-    while pieces:
-        lo, width, c = pieces.pop()
-        if max(c) <= best * (1 + 4e-16) or width < 2.0**-40:
-            continue
-        left, right = [c[0]], [c[-1]]
-        while len(c) > 1:
-            c = [(a + b) / 2 for a, b in zip(c, c[1:])]
-            left.append(c[0])
-            right.append(c[-1])
-        mid = lo + width / 2
-        if left[-1] > best:
-            best, arg = left[-1], mid
-        pieces += [(lo, width / 2, left), (mid, width / 2, right[::-1])]
+    alphas = [a for a in product(range(r + 1), repeat=k) if sum(a) == r]
+    index = {a: i for i, a in enumerate(alphas)}
+    kids = [[(c, j) for j in range(k)] for c in range(k)] + [[(1, 2), (0, 2), (0, 1)]] * (k == 3)
+    split = np.zeros((len(alphas), len(kids) * len(alphas)))
+    for i, kid in enumerate(kids):
+        for g in alphas:
+            for sent in product(*(range(j + 1) for j in g)):
+                alpha = [0] * k
+                for (p, q), to_p, copies in zip(kid, sent, g):
+                    alpha[p] += to_p
+                    alpha[q] += copies - to_p
+                split[index[tuple(alpha)], i * len(alphas) + index[g]] += (
+                    prod(map(comb, g, sent)) / 2**r)
+    halves = np.array([[np.eye(k)[[p, q]].mean(axis=0) for p, q in kid] for kid in kids])
+    corners = [index[tuple(r * (j == c) for j in range(k))] for c in range(k)]
+    return alphas, corners, halves, split
+
+
+def _bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
+    """A maximizer on the (k - 1)-simplex of the Bernstein polynomial with
+    coefficients beta, ordered as ``_subdivision(r, k)``'s multi-indices,
+    by the module docstring's branch and bound from the simplex's corners.
+    One product splits all live pieces of a level; past _MAX_PIECES, those
+    with the largest bounds are kept."""
+    _, corners, halves, split = _subdivision(r, k)
+    pieces, vertices = beta[None], np.eye(k)[None]
+    best, arg = beta[corners].max(), vertices[0, beta[corners].argmax()]
+    for _ in range(_MAX_DEPTH):
+        bounds = pieces.max(axis=1)
+        live = bounds > best * (1 + 4e-16)
+        if not live.any():
+            break
+        if live.sum() > _MAX_PIECES:
+            live = np.argsort(-bounds, kind="stable")[:_MAX_PIECES]
+        pieces = (pieces[live] @ split).reshape(-1, len(beta))
+        vertices = (halves @ vertices[live, None]).reshape(-1, k, k)
+        values = pieces[:, corners]
+        if values.max() > best:
+            best, arg = values.max(), vertices.reshape(-1, k)[values.argmax()]
     return arg
 
 
-def _segment_point(
-    r: int, m: int, edges: Sequence[tuple[int, ...]], a: list[int], b: list[int]
+def _class_point(
+    r: int, m: int, edges: Sequence[tuple[int, ...]], classes: list[list[int]]
 ) -> tuple[float, ...]:
-    """Maximizer of a rung whose covered vertices form the twin classes a, b:
-    s/|a| on a, (1 - s)/|b| on b and 0 elsewhere, s maximizing the rung's
-    Bernstein polynomial on [0, 1]."""
-    in_a = set(a)
-    meets = Counter(len(in_a.intersection(e)) for e in edges)
-    beta = [factorial(r) * meets[j] / (comb(r, j) * len(a)**j * len(b)**(r - j))
-            for j in range(r + 1)]
-    s = _segment_argmax(beta)
-    point = [0.0] * m
-    for v in a:
-        point[v - 1] = s / len(a)
-    for v in b:
-        point[v - 1] = (1 - s) / len(b)
-    return tuple(point)
+    """Maximizer of a rung whose covered vertices form two or three twin
+    classes: y_c/|c| on class c and 0 elsewhere, y maximizing the rung's
+    Bernstein polynomial on the simplex of class weights."""
+    k = len(classes)
+    label = {v: c for c, cls in enumerate(classes) for v in cls}
+    profiles = Counter(tuple(sum(label[v] == c for v in e) for c in range(k)) for e in edges)
+    beta = np.array([profiles[a] * prod(map(factorial, a))
+                     / prod(len(cls)**j for cls, j in zip(classes, a))
+                     for a in _subdivision(r, k)[0]])
+    y = _bernstein_argmax(r, k, beta)
+    weight = {v: w / len(cls) for cls, w in zip(classes, y.tolist()) for v in cls}
+    return tuple(weight.get(v, 0.0) for v in range(1, m + 1))
 
 
 def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> ChainLadder:
     """Value of every prefix pattern of the r-sets on m vertices, in
     ``edge_enumeration`` order, each rung by the first route that applies:
-    a closed form; the segment, when the rung's covered vertices form two
-    twin classes; else ``maximize`` from the seed, warm-started from the
-    previous rung's point, which keeps the values monotone up to float
-    rounding.  Rung 1 (one r-set, so K_r) is always closed-form.  A segment
-    rung's value is the pattern at its point; every KKT residual is
-    computed at the rung's point, on the full pattern.  A bad argument
+    a closed form; Bernstein, when the rung's covered vertices form two or
+    three twin classes; else ``maximize`` from the seed, warm-started from
+    the previous rung's point, which keeps the values monotone up to float
+    rounding.  Rung 1 (one r-set, so K_r) is always closed-form.  A
+    Bernstein rung's value is the pattern at its point; every KKT residual
+    is computed at the rung's point, on the full pattern.  A bad argument
     raises before any rung is built.
     """
     edges = edge_enumeration(r, m, order, seed)
@@ -238,17 +275,17 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
     exact: list[Fraction | None] = [Fraction(0)]
     points = [tuple([1.0 / m] * m)]
     kkts = [0.0]
-    segment = []
+    by_classes: dict[int, list[int]] = {2: [], 3: []}
     for k in range(1, len(edges) + 1):
         rung = edges[:k]
         pattern = simple_pattern(r, m, rung)
         closed = _closed_form(r, m, rung)
         if closed is not None:
             value, point = float(closed[0]), closed[1]
-        elif len(classes := _twin_classes(rung)) == 2:
-            point = _segment_point(r, m, rung, *classes)
+        elif len(classes := _twin_classes(rung)) <= 3:
+            point = _class_point(r, m, rung, classes)
             value = evaluate(pattern, point)
-            segment.append(k)
+            by_classes[len(classes)].append(k)
         else:
             res = maximize(pattern, seed, extra_starts=[points[-1]])
             value, point = res.value, tuple(res.point.tolist())
@@ -264,7 +301,8 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
         exact_values=tuple(exact),
         points=tuple(points),
         kkt_residuals=tuple(kkts),
-        segment_rungs=tuple(segment),
+        segment_rungs=tuple(by_classes[2]),
+        triangle_rungs=tuple(by_classes[3]),
     )
 
 

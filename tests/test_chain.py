@@ -3,8 +3,9 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +15,9 @@ import turangap.chain as chain_module
 from turangap.chain import (
     _KKT_BOUND,
     _STEP_SLACK,
+    _bernstein_argmax,
     _clique_value,
+    _subdivision,
     _twin_classes,
     edge_enumeration,
 )
@@ -189,18 +192,30 @@ def test_built_chains_meet_the_near_equality_bound_with_no_slack(r, m):
 
 
 def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
-    # one ascent step leaves the optimizer rungs far from stationary while
-    # every step stays below 2/9, so only the KKT gate can see it
+    # one ascent step leaves the optimizer rung far from stationary while
+    # every step stays below 3/32, so only the KKT gate can see it
     with monkeypatch.context() as mp:
         mp.setattr(sx, "_MAX_ITERATIONS", 1)
-        starved = build_chain_ladder(3, 5)
+        starved = build_chain_ladder(4, 6)
     gap = verify_gap_bound(starved)
     assert not gap.step_violations and not gap.near_violations
-    # rungs 3 and 9 have two twin classes and never reach the optimizer
-    assert starved.segment_rungs == (3, 9)
-    assert gap.kkt_violations == (8,) and not gap.ok
-    assert all(starved.exact_values[i] is None for i in gap.kkt_violations)
-    assert verify_gap_bound(build_chain_ladder(3, 5)).kkt_violations == ()
+    # rung 11 has four twin classes; the rungs with two or three never
+    # reach the optimizer
+    assert starved.segment_rungs == (3, 4, 12, 14) and starved.triangle_rungs == (10, 13)
+    assert gap.kkt_violations == (11,) and not gap.ok
+    assert starved.exact_values[11] is None
+    assert verify_gap_bound(build_chain_ladder(4, 6)).kkt_violations == ()
+
+
+def test_starved_branch_and_bound_fails_the_kkt_gate(monkeypatch):
+    # one level of subdivision stops at the corners and edge midpoints
+    with monkeypatch.context() as mp:
+        mp.setattr(chain_module, "_MAX_DEPTH", 1)
+        starved = build_chain_ladder(3, 5)
+    assert starved.segment_rungs == (3, 9) and starved.triangle_rungs == (8,)
+    gap = verify_gap_bound(starved)
+    assert gap.kkt_violations == (3, 8, 9) and not gap.ok
+    assert verify_gap_bound(build_chain_ladder(3, 5)).ok
 
 
 def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
@@ -275,28 +290,31 @@ _TWIN_CHAINS = [(3, 7, "colex"), (4, 6, "colex"), (5, 8, "colex"), (3, 7, "lex")
 @pytest.mark.parametrize("r,m,order", _TWIN_CHAINS)
 def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order):
     lad = build_chain_ladder(r, m, order)
-    two_class = []
+    by_classes = {2: [], 3: []}
     for i in range(1, len(lad.values)):
         classes = swap_twin_classes(lad.edges[:i])
         assert _twin_classes(lad.edges[:i]) == classes, i
-        if len(classes) == 2 and not _qualifies(r, lad.edges[:i]):
-            two_class.append(i)
-    assert lad.segment_rungs == tuple(two_class)
+        if len(classes) in by_classes and not _qualifies(r, lad.edges[:i]):
+            by_classes[len(classes)].append(i)
+    assert lad.segment_rungs == tuple(by_classes[2])
+    assert lad.triangle_rungs == tuple(by_classes[3])
 
 
-@pytest.mark.parametrize("r,m,order,count", [
-    (3, 7, "colex", 4), (4, 6, "colex", 4), (5, 8, "colex", 9), (3, 13, "colex", 10),
-    (3, 7, "lex", 7), (3, 7, "random", 1)])
-def test_segment_rungs_match_the_warm_started_optimizer(monkeypatch, r, m, order, count):
+@pytest.mark.parametrize("r,m,order,segment,triangle", [
+    (3, 7, "colex", 4, 6), (4, 6, "colex", 4, 2), (5, 8, "colex", 9, 9),
+    (3, 13, "colex", 10, 45), (3, 7, "lex", 7, 9), (3, 7, "random", 1, 0)])
+def test_segment_rungs_match_the_warm_started_optimizer(monkeypatch, r, m, order, segment,
+                                                        triangle):
     calls = []
     monkeypatch.setattr(chain_module, "maximize",
                         lambda p, *args, **kw: calls.append(p) or maximize(p, *args, **kw))
     lad = build_chain_ladder(r, m, order)
-    assert len(lad.segment_rungs) == count
-    # every rung is closed-form, solved on a segment or optimized, never two
-    assert len(calls) == len(lad.edges) - len(lad.closed_form_rungs) - count
-    assert not set(lad.segment_rungs) & set(lad.closed_form_rungs)
-    for i in lad.segment_rungs:
+    assert (len(lad.segment_rungs), len(lad.triangle_rungs)) == (segment, triangle)
+    # every rung is closed-form, solved by Bernstein or optimized, never two
+    assert len(calls) == len(lad.edges) - len(lad.closed_form_rungs) - segment - triangle
+    bernstein = lad.segment_rungs + lad.triangle_rungs
+    assert not set(bernstein) & set(lad.closed_form_rungs)
+    for i in bernstein:
         pattern = simple_pattern(r, m, lad.edges[:i])
         assert pattern not in calls
         oracle = maximize(pattern, extra_starts=[lad.points[i - 1]])
@@ -312,3 +330,61 @@ def test_rational_segment_rungs():
     assert {3, 4} <= set(lad.segment_rungs)
     assert abs(lad.values[3] - 1 / 8) <= 1e-15
     assert abs(lad.values[4] - 81 / 512) <= 1e-15
+
+
+def _bernstein(r, k, monomials):
+    """Bernstein coefficients of sum c y^a, from {a: c}: beta_a = c / multinomial(r; a)."""
+    return np.array([monomials.get(a, 0) * prod(map(factorial, a)) / factorial(r)
+                     for a in _subdivision(r, k)[0]])
+
+
+def _value(monomials, y):
+    return sum(c * prod(t**j for t, j in zip(y, a)) for a, c in monomials.items())
+
+
+@pytest.mark.parametrize("r,monomials,want,where", [
+    (2, {(2, 0, 0): 1, (0, 1, 1): 1}, 1, (1, 0, 0)),  # a vertex
+    (3, {(1, 2, 0): 27 / 4}, 1, (1 / 3, 2 / 3, 0)),  # on an edge, off the dyadic grid
+    (3, {(1, 1, 1): 27}, 1, (1 / 3, 1 / 3, 1 / 3)),  # inside
+    (2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 2, (1, 0, 1): 2,
+         (0, 1, 1): 2}, 1, (1, 0, 0)),  # (y1 + y2 + y3)^2, constant
+    (3, {(1, 2): 27 / 4}, 1, (1 / 3, 2 / 3)),  # on a segment
+])
+def test_bernstein_argmax_finds_the_maximum(r, monomials, want, where):
+    k = len(where)
+    y = _bernstein_argmax(r, k, _bernstein(r, k, monomials))
+    assert abs(_value(monomials, y) - want) <= 1e-15
+    assert y.sum() == pytest.approx(1, abs=1e-15) and y.min() >= 0
+    assert np.abs(y - where).max() <= 1e-7
+    # a maximum on the boundary is found on it, exactly
+    assert all(y[c] == 0 for c in range(k) if where[c] == 0)
+
+
+class _CountedSplit(np.ndarray):
+    """A subdivision matrix that records how many pieces each level splits."""
+
+    rows: list[int] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedSplit.rows.append(len(inputs[0]))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("monomials,want,line", [
+    ({(1, 1, 0): 2, (1, 0, 1): 2}, 1 / 2, 1 / 2),  # 2 y1 (y2 + y3)
+    ({(1, 2, 0): 1, (1, 1, 1): 2, (1, 0, 2): 1}, 4 / 27, 1 / 3),  # y1 (y2 + y3)^2
+])
+def test_bernstein_argmax_on_a_line_of_maxima_stays_under_the_piece_cap(monkeypatch, monomials,
+                                                                        want, line):
+    r = sum(next(iter(monomials)))
+    alphas, corners, halves, split = _subdivision(r, 3)
+    monkeypatch.setattr(chain_module, "_subdivision",
+                        lambda *_: (alphas, corners, halves, split.view(_CountedSplit)))
+    _CountedSplit.rows = []
+    y = _bernstein_argmax(r, 3, _bernstein(r, 3, monomials))
+    assert abs(_value(monomials, y) - want) <= 1e-15
+    assert abs(y[0] - line) <= 1e-7
+    assert 0 < max(_CountedSplit.rows) <= chain_module._MAX_PIECES
+    # off the dyadic grid, the pieces along the line stay alive up to the cap
+    if line == 1 / 3:
+        assert max(_CountedSplit.rows) == chain_module._MAX_PIECES

@@ -158,8 +158,9 @@ def test_chain_subcommand(tmp_path, capsys):
     assert obj["top_ok"] is None  # m = 5 < minimal_m(3): nothing claimed
     assert obj["max_step"] <= 2 / 9 + 1e-6
     assert "\nkkt residuals: ok (largest " in out
-    # rungs 3 and 9 have two twin classes
+    # rungs 3 and 9 have two twin classes, rung 8 three
     assert obj["segment_rungs"] == [3, 9] and "\nsegment rungs: 2 of 10\n" in out
+    assert obj["triangle_rungs"] == [8] and "\ntriangle rungs: 1 of 10\n" in out
 
 
 _VERDICT_LINES = {"gap_ok": "step bound: ",
