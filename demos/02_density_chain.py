@@ -4,11 +4,13 @@ A one-edge-at-a-time density chain
 
 Add the triples on 6 vertices one at a time (colex order) and take the
 simplex maximum after every insertion: exactly where the rung is a complete
-pattern K_t, or K_{t-1} with a vertex pair left uncovered; on a segment or
-a triangle where its vertices form two or three classes of twins (swapping
-two twins fixes the edge set); and by the optimizer elsewhere.  Consecutive maxima never differ
-by more than 3!/3^3 = 2/9, the values climb monotonically, and a step from
-value v is at most 2/9 (1 - v), so a step near the bound starts near zero.
+pattern K_t, or K_{t-1} with a vertex pair left uncovered; on a segment, a
+triangle or a tetrahedron where its vertices form two, three or four
+classes of twins (swapping two twins fixes the edge set); and by the
+optimizer on five or more classes, of which this chain has none.
+Consecutive maxima never differ by more than 3!/3^3 = 2/9, the values
+climb monotonically, and a step from value v is at most 2/9 (1 - v), so a
+step near the bound starts near zero.
 One audit, ``verify_gap_bound``, checks all three, that every rung with
 no closed form ended at a stationary point (KKT residual at most 1e-6),
 and, from m = minimal_m(3) = 13 on, that the top value crosses 1 - 2/9.
@@ -23,7 +25,8 @@ lad = build_chain_ladder(3, 6, order="colex", seed=0)
 print(f"{comb(6, 3)} edges inserted, {len(lad.values)} ladder rungs")
 print(f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}")
 print(f"segment rungs: {lad.segment_rungs}")
-print(f"triangle rungs: {lad.triangle_rungs}\n")
+print(f"triangle rungs: {lad.triangle_rungs}")
+print(f"tetrahedron rungs: {lad.tetrahedron_rungs}\n")
 print(" idx  value        step         kkt")
 steps = (0.0,) + lad.steps
 for i, v in enumerate(lad.values):

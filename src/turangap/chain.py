@@ -32,17 +32,19 @@ Each rung takes one of three routes, decided from its own edge set.
   Frankl and Rodl, and Talbot's colex Lagrangians, CPC 2002), and some
   maximizer is constant on each twin class.  An uncovered vertex takes
   weight 0, as lambda is homogeneous with non-negative coefficients.  A
-  rung whose covered vertices form k = 2 or 3 twin classes therefore peaks
-  at y_c/|c| on each class c, y on the segment or triangle of class
-  weights, where lambda is the degree-r Bernstein polynomial with
-  coefficients beta_alpha = N_alpha prod_c alpha_c! / |c|^alpha_c, N_alpha
-  counting the edges with alpha_c vertices in each class c.  The largest
-  coefficient of a piece bounds it there (Farin, CAGD 1986), and a corner
-  coefficient is its value.  Branch and bound splits each live piece at
-  its edge midpoints, drops it once its largest coefficient is at most
+  rung whose covered vertices form k = 2, 3 or 4 twin classes therefore
+  peaks at y_c/|c| on each class c, y on the segment, triangle or
+  tetrahedron of class weights, where lambda is the degree-r Bernstein
+  polynomial with coefficients beta_alpha = N_alpha prod_c alpha_c! /
+  |c|^alpha_c, N_alpha counting the edges with alpha_c vertices in each
+  class c.  The largest coefficient of a piece bounds it there (Farin, CAGD
+  1986), and a corner coefficient is its value.  Branch and bound splits
+  each live piece into Freudenthal's 2^(k-1) children by k - 1 edge
+  bisections, drops it once its largest coefficient is at most
   best (1 + 4e-16), and keeps at most _MAX_PIECES pieces for _MAX_DEPTH
   levels; it takes no starts or step sizes.
-- Optimizer.  Every other rung, four or more twin classes, runs ``maximize``.
+- Optimizer.  Every other rung, five or more twin classes, runs ``maximize``.
+  Beyond four, one split costs more than the ascent: 126 x 2016 at r = 5.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ class ChainLadder:
     """Certified values along one chain of r-sets on m vertices, index i
     holding the i-edge pattern.  ``exact_values[i]`` is the closed-form
     value, 0 at rung 0, None where Bernstein or the optimizer ran; the
-    Bernstein rungs with two and three twin classes are listed in
-    ``segment_rungs`` and ``triangle_rungs``."""
+    Bernstein rungs with two, three and four twin classes are listed in
+    ``segment_rungs``, ``triangle_rungs`` and ``tetrahedron_rungs``."""
 
     r: int
     m: int
@@ -121,6 +123,7 @@ class ChainLadder:
     kkt_residuals: tuple[float, ...]
     segment_rungs: tuple[int, ...]
     triangle_rungs: tuple[int, ...]
+    tetrahedron_rungs: tuple[int, ...]
 
     @property
     def closed_form_rungs(self) -> tuple[int, ...]:
@@ -190,32 +193,38 @@ def _twin_classes(edges: Sequence[tuple[int, ...]]) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _subdivision(r: int, k: int) -> tuple[list, list[int], np.ndarray, np.ndarray]:
-    """Midpoint subdivision on the (k - 1)-simplex, k = 2 or 3: the
-    multi-indices alpha of degree r, the positions of the corner
-    coefficients, each child's vertices in parent barycentric coordinates,
-    and the matrix taking a piece's coefficients to its children's.
+    """Freudenthal's subdivision of the (k - 1)-simplex into 2^(k-1)
+    congruent children: the multi-indices alpha of degree r, the positions
+    of the corner coefficients, each child's vertices in parent barycentric
+    coordinates, and the matrix taking a piece's coefficients to its
+    children's.
 
-    Each child vertex is a midpoint (e_p + e_q)/2, a corner when p = q.
-    Child coefficient gamma is the blossom at gamma_j copies of vertex j: it
-    averages beta over the ways of sending each copy to e_p or e_q, with
-    binomial weights over 2^r, exact in floats.
+    It composes k - 1 bisections of edge (v_0, v_t) at its midpoint z, for
+    t = k - 1 down to 1, into children (v_0, .., v_{t-1}, z, v_{t+1}, ..)
+    and (v_1, .., v_t, z, v_{t+1}, ..) (Maubach, SIAM J. Sci. Comput. 1995),
+    so every child keeps its vertices in path order and the same matrix
+    splits it again.  A coefficient with gamma_t copies of z averages beta
+    over the copies sent to v_0, with binomial weights over 2^gamma_t: the
+    weights are dyadic, exact in floats, and each column sums to 1.
     """
     alphas = [a for a in product(range(r + 1), repeat=k) if sum(a) == r]
     index = {a: i for i, a in enumerate(alphas)}
-    kids = [[(c, j) for j in range(k)] for c in range(k)] + [[(1, 2), (0, 2), (0, 1)]] * (k == 3)
-    split = np.zeros((len(alphas), len(kids) * len(alphas)))
-    for i, kid in enumerate(kids):
-        for g in alphas:
-            for sent in product(*(range(j + 1) for j in g)):
-                alpha = [0] * k
-                for (p, q), to_p, copies in zip(kid, sent, g):
-                    alpha[p] += to_p
-                    alpha[q] += copies - to_p
-                split[index[tuple(alpha)], i * len(alphas) + index[g]] += (
-                    prod(map(comb, g, sent)) / 2**r)
-    halves = np.array([[np.eye(k)[[p, q]].mean(axis=0) for p, q in kid] for kid in kids])
+    n = len(alphas)
+    split, vertices = np.eye(n), np.eye(k)[None]
+    for t in range(k - 1, 0, -1):
+        bisect = np.zeros((n, 2 * n))
+        for j, g in enumerate(alphas):
+            for i in range(g[t] + 1):  # copies of z sent to v_0
+                w = comb(g[t], i) / 2**g[t]
+                bisect[index[(g[0] + i, *g[1:t], g[t] - i, *g[t + 1:])], j] = w
+                bisect[index[(i, *g[:t - 1], g[t - 1] + g[t] - i, *g[t + 1:])], n + j] = w
+        split = (split.reshape(n, -1, n) @ bisect).reshape(n, -1)
+        z, rest = (vertices[:, :1] + vertices[:, t:t + 1]) / 2, vertices[:, t + 1:]
+        vertices = np.stack([np.concatenate([vertices[:, :t], z, rest], 1),
+                             np.concatenate([vertices[:, 1:t + 1], z, rest], 1)], 1)
+        vertices = vertices.reshape(-1, k, k)
     corners = [index[tuple(r * (j == c) for j in range(k))] for c in range(k)]
-    return alphas, corners, halves, split
+    return alphas, corners, vertices, split
 
 
 def _bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
@@ -224,7 +233,7 @@ def _bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
     by the module docstring's branch and bound from the simplex's corners.
     One product splits all live pieces of a level; past _MAX_PIECES, those
     with the largest bounds are kept."""
-    _, corners, halves, split = _subdivision(r, k)
+    _, corners, children, split = _subdivision(r, k)
     pieces, vertices = beta[None], np.eye(k)[None]
     best, arg = beta[corners].max(), vertices[0, beta[corners].argmax()]
     for _ in range(_MAX_DEPTH):
@@ -235,7 +244,7 @@ def _bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
         if live.sum() > _MAX_PIECES:
             live = np.argsort(-bounds, kind="stable")[:_MAX_PIECES]
         pieces = (pieces[live] @ split).reshape(-1, len(beta))
-        vertices = (halves @ vertices[live, None]).reshape(-1, k, k)
+        vertices = (children @ vertices[live, None]).reshape(-1, k, k)
         values = pieces[:, corners]
         if values.max() > best:
             best, arg = values.max(), vertices.reshape(-1, k)[values.argmax()]
@@ -245,7 +254,7 @@ def _bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
 def _class_point(
     r: int, m: int, edges: Sequence[tuple[int, ...]], classes: list[list[int]]
 ) -> tuple[float, ...]:
-    """Maximizer of a rung whose covered vertices form two or three twin
+    """Maximizer of a rung whose covered vertices form two to four twin
     classes: y_c/|c| on class c and 0 elsewhere, y maximizing the rung's
     Bernstein polynomial on the simplex of class weights."""
     k = len(classes)
@@ -262,8 +271,8 @@ def _class_point(
 def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> ChainLadder:
     """Value of every prefix pattern of the r-sets on m vertices, in
     ``edge_enumeration`` order, each rung by the first route that applies:
-    a closed form; Bernstein, when the rung's covered vertices form two or
-    three twin classes; else ``maximize`` from the seed, warm-started from
+    a closed form; Bernstein, when the rung's covered vertices form two to
+    four twin classes; else ``maximize`` from the seed, warm-started from
     the previous rung's point, which keeps the values monotone up to float
     rounding.  Rung 1 (one r-set, so K_r) is always closed-form.  A
     Bernstein rung's value is the pattern at its point; every KKT residual
@@ -275,14 +284,14 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
     exact: list[Fraction | None] = [Fraction(0)]
     points = [tuple([1.0 / m] * m)]
     kkts = [0.0]
-    by_classes: dict[int, list[int]] = {2: [], 3: []}
+    by_classes: dict[int, list[int]] = {2: [], 3: [], 4: []}
     for k in range(1, len(edges) + 1):
         rung = edges[:k]
         pattern = simple_pattern(r, m, rung)
         closed = _closed_form(r, m, rung)
         if closed is not None:
             value, point = float(closed[0]), closed[1]
-        elif len(classes := _twin_classes(rung)) <= 3:
+        elif len(classes := _twin_classes(rung)) <= 4:
             point = _class_point(r, m, rung, classes)
             value = evaluate(pattern, point)
             by_classes[len(classes)].append(k)
@@ -303,6 +312,7 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
         kkt_residuals=tuple(kkts),
         segment_rungs=tuple(by_classes[2]),
         triangle_rungs=tuple(by_classes[3]),
+        tetrahedron_rungs=tuple(by_classes[4]),
     )
 
 

@@ -151,6 +151,7 @@ def _handle_chain(args) -> Result:
         "closed_form_rungs": list(lad.closed_form_rungs),
         "segment_rungs": list(lad.segment_rungs),
         "triangle_rungs": list(lad.triangle_rungs),
+        "tetrahedron_rungs": list(lad.tetrahedron_rungs),
         "max_step": lad.max_step,
         "max_step_index": lad.max_step_index,
         "gap_ok": not gap.step_violations,
@@ -163,6 +164,7 @@ def _handle_chain(args) -> Result:
         f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}",
         f"segment rungs: {len(lad.segment_rungs)} of {len(lad.edges)}",
         f"triangle rungs: {len(lad.triangle_rungs)} of {len(lad.edges)}",
+        f"tetrahedron rungs: {len(lad.tetrahedron_rungs)} of {len(lad.edges)}",
         f"top value:  {lad.values[-1]:.9f} (threshold {1 - gap.bound:.9f}, "
         f"checked: {'False' if gap.top_ok is None else 'True' if gap.top_ok else 'VIOLATED'})",
         f"max step:   {lad.max_step:.9f} at index {lad.max_step_index} "

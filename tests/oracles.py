@@ -54,7 +54,7 @@ def fabricated_ladder(*values: float, m: int = 8) -> ChainLadder:
     edges = edge_enumeration(3, m)[: len(values) - 1]
     exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
     return ChainLadder(3, m, edges, values, exact,
-                       ((1 / m,) * m,) * len(values), (0.0,) * len(values), (), ())
+                       ((1 / m,) * m,) * len(values), (0.0,) * len(values), (), (), ())
 
 
 def minimal_m_by_walk(r: int) -> int:

@@ -192,19 +192,22 @@ def test_built_chains_meet_the_near_equality_bound_with_no_slack(r, m):
 
 
 def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
-    # one ascent step leaves the optimizer rung far from stationary while
-    # every step stays below 3/32, so only the KKT gate can see it
+    # one ascent step leaves the optimizer rungs far from stationary while
+    # every step stays below 5!/5^5, so only the KKT gate can see it
     with monkeypatch.context() as mp:
         mp.setattr(sx, "_MAX_ITERATIONS", 1)
-        starved = build_chain_ladder(4, 6)
+        starved = build_chain_ladder(5, 8)
     gap = verify_gap_bound(starved)
     assert not gap.step_violations and not gap.near_violations
-    # rung 11 has four twin classes; the rungs with two or three never
-    # reach the optimizer
-    assert starved.segment_rungs == (3, 4, 12, 14) and starved.triangle_rungs == (10, 13)
-    assert gap.kkt_violations == (11,) and not gap.ok
-    assert starved.exact_values[11] is None
-    assert verify_gap_bound(build_chain_ladder(4, 6)).kkt_violations == ()
+    # rungs 41, 42, 44 and 50 have five or six twin classes; the rungs with
+    # two to four never reach the optimizer
+    bernstein = starved.segment_rungs + starved.triangle_rungs + starved.tetrahedron_rungs
+    optimized = [i for i in range(1, len(starved.values))
+                 if starved.exact_values[i] is None and i not in bernstein]
+    assert optimized == [41, 42, 44, 50]
+    assert [len(_twin_classes(starved.edges[:i])) for i in optimized] == [5, 6, 5, 5]
+    assert gap.kkt_violations == (41, 42, 44, 50) and not gap.ok
+    assert verify_gap_bound(build_chain_ladder(5, 8)).kkt_violations == ()
 
 
 def test_starved_branch_and_bound_fails_the_kkt_gate(monkeypatch):
@@ -216,6 +219,19 @@ def test_starved_branch_and_bound_fails_the_kkt_gate(monkeypatch):
     gap = verify_gap_bound(starved)
     assert gap.kkt_violations == (3, 8, 9) and not gap.ok
     assert verify_gap_bound(build_chain_ladder(3, 5)).ok
+
+
+def test_starved_branch_and_bound_fails_the_kkt_gate_on_a_tetrahedron(monkeypatch):
+    # colex r=4 m=7 rungs 27 and 30 have four twin classes; one level stops
+    # at a tetrahedron edge midpoint, far from stationary
+    with monkeypatch.context() as mp:
+        mp.setattr(chain_module, "_MAX_DEPTH", 1)
+        starved = build_chain_ladder(4, 7)
+    assert starved.tetrahedron_rungs == (11, 27, 30)
+    gap = verify_gap_bound(starved)
+    assert {27, 30} <= set(gap.kkt_violations) and not gap.ok
+    assert min(starved.kkt_residuals[i] for i in (27, 30)) > 1
+    assert verify_gap_bound(build_chain_ladder(4, 7)).ok
 
 
 def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
@@ -290,7 +306,7 @@ _TWIN_CHAINS = [(3, 7, "colex"), (4, 6, "colex"), (5, 8, "colex"), (3, 7, "lex")
 @pytest.mark.parametrize("r,m,order", _TWIN_CHAINS)
 def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order):
     lad = build_chain_ladder(r, m, order)
-    by_classes = {2: [], 3: []}
+    by_classes = {2: [], 3: [], 4: []}
     for i in range(1, len(lad.values)):
         classes = swap_twin_classes(lad.edges[:i])
         assert _twin_classes(lad.edges[:i]) == classes, i
@@ -298,27 +314,29 @@ def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order):
             by_classes[len(classes)].append(i)
     assert lad.segment_rungs == tuple(by_classes[2])
     assert lad.triangle_rungs == tuple(by_classes[3])
+    assert lad.tetrahedron_rungs == tuple(by_classes[4])
 
 
-# triangle-rung counts, kept out of the parametrization so the case ids
-# stay r-m-order-segment
-_TRIANGLE_COUNTS = {(3, 7, "colex"): 6, (4, 6, "colex"): 2, (5, 8, "colex"): 9,
-                    (3, 13, "colex"): 45, (3, 7, "lex"): 9, (3, 7, "random"): 0}
+# (triangle, tetrahedron) rung counts, kept out of the parametrization so
+# the case ids stay r-m-order-segment
+_TRIANGLE_COUNTS = {(3, 7, "colex"): (6, 0), (4, 6, "colex"): (2, 1), (5, 8, "colex"): (9, 9),
+                    (3, 13, "colex"): (45, 0), (3, 7, "lex"): (9, 9), (3, 7, "random"): (0, 2)}
 
 
 @pytest.mark.parametrize("r,m,order,segment", [
     (3, 7, "colex", 4), (4, 6, "colex", 4), (5, 8, "colex", 9), (3, 13, "colex", 10),
     (3, 7, "lex", 7), (3, 7, "random", 1)])
 def test_segment_rungs_match_the_warm_started_optimizer(monkeypatch, r, m, order, segment):
-    triangle = _TRIANGLE_COUNTS[r, m, order]
+    triangle, tetrahedron = _TRIANGLE_COUNTS[r, m, order]
     calls = []
     monkeypatch.setattr(chain_module, "maximize",
                         lambda p, *args, **kw: calls.append(p) or maximize(p, *args, **kw))
     lad = build_chain_ladder(r, m, order)
-    assert (len(lad.segment_rungs), len(lad.triangle_rungs)) == (segment, triangle)
+    assert (len(lad.segment_rungs), len(lad.triangle_rungs),
+            len(lad.tetrahedron_rungs)) == (segment, triangle, tetrahedron)
+    bernstein = lad.segment_rungs + lad.triangle_rungs + lad.tetrahedron_rungs
     # every rung is closed-form, solved by Bernstein or optimized, never two
-    assert len(calls) == len(lad.edges) - len(lad.closed_form_rungs) - segment - triangle
-    bernstein = lad.segment_rungs + lad.triangle_rungs
+    assert len(calls) == len(lad.edges) - len(lad.closed_form_rungs) - len(bernstein)
     assert not set(bernstein) & set(lad.closed_form_rungs)
     for i in bernstein:
         pattern = simple_pattern(r, m, lad.edges[:i])
@@ -336,6 +354,10 @@ def test_rational_segment_rungs():
     assert {3, 4} <= set(lad.segment_rungs)
     assert abs(lad.values[3] - 1 / 8) <= 1e-15
     assert abs(lad.values[4] - 81 / 512) <= 1e-15
+    # lex r=4 m=6 rung 7 peaks at the dyadic point (1/4, 3/16, 3/16, 3/16,
+    # 3/16, 0) of its four twin classes; the optimizer stopped 1.6e-12 short
+    lad = build_chain_ladder(4, 6, "lex")
+    assert 7 in lad.tetrahedron_rungs and lad.values[7] == 81 / 512
 
 
 def _bernstein(r, k, monomials):
@@ -355,6 +377,10 @@ def _value(monomials, y):
     (2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 2, (1, 0, 1): 2,
          (0, 1, 1): 2}, 1, (1, 0, 0)),  # (y1 + y2 + y3)^2, constant
     (3, {(1, 2): 27 / 4}, 1, (1 / 3, 2 / 3)),  # on a segment
+    (4, {(1, 1, 1, 1): 256}, 1, (1 / 4, 1 / 4, 1 / 4, 1 / 4)),  # inside a tetrahedron
+    (3, {(1, 1, 1, 0): 27}, 1, (1 / 3, 1 / 3, 1 / 3, 0)),  # on its face
+    (3, {(0, 1, 2, 0): 27 / 4}, 1, (0, 1 / 3, 2 / 3, 0)),  # on its edge
+    (2, {(0, 0, 0, 2): 1, (1, 1, 0, 0): 1}, 1, (0, 0, 0, 1)),  # at its vertex
 ])
 def test_bernstein_argmax_finds_the_maximum(r, monomials, want, where):
     k = len(where)
@@ -364,6 +390,44 @@ def test_bernstein_argmax_finds_the_maximum(r, monomials, want, where):
     assert np.abs(y - where).max() <= 1e-7
     # a maximum on the boundary is found on it, exactly
     assert all(y[c] == 0 for c in range(k) if where[c] == 0)
+
+
+def _bernstein_value(r, alphas, beta, y):
+    return sum(b * factorial(r) / prod(map(factorial, a)) * prod(t**j for t, j in zip(y, a))
+               for a, b in zip(alphas, beta))
+
+
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_split_children_carry_the_parent_polynomial(r, k, seed):
+    alphas, corners, vertices, split = _subdivision(r, k)
+    n = len(alphas)
+    assert split.shape == (n, 2**(k - 1) * n) and vertices.shape == (2**(k - 1), k, k)
+    # dyadic weights: every child coefficient is an exact convex combination
+    assert split.min() >= 0 and (split.sum(axis=0) == 1).all()
+    rng = np.random.default_rng(seed)
+    beta = rng.random(n)
+    children = (beta @ split).reshape(-1, n)
+    for child, corner_points in zip(children, vertices):
+        # a corner coefficient is the parent's value at that child vertex
+        for c, v in zip(corners, corner_points):
+            assert child[c] == pytest.approx(_bernstein_value(r, alphas, beta, v), abs=1e-14)
+        # and the child's polynomial is the parent's on the child
+        for u in rng.dirichlet(np.ones(k), size=3):
+            assert _bernstein_value(r, alphas, child, u) == pytest.approx(
+                _bernstein_value(r, alphas, beta, u @ corner_points), abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_split_pieces_halve_in_width_every_level(k):
+    # children keep their vertices in path order, so applying the same split
+    # again never flattens a piece: from the second level on, the longest
+    # piece edge halves per level
+    children = _subdivision(3, k)[2]
+    pieces, widest = np.eye(k)[None], []
+    for _ in range(5):
+        pieces = (children @ pieces[:, None]).reshape(-1, k, k)
+        widest.append(max(((p[:, None] - p[None]) ** 2).sum(axis=-1).max() for p in pieces))
+    assert all(4 * w == v for v, w in zip(widest[1:], widest[2:]))
 
 
 class _CountedSplit(np.ndarray):
@@ -383,9 +447,9 @@ class _CountedSplit(np.ndarray):
 def test_bernstein_argmax_on_a_line_of_maxima_stays_under_the_piece_cap(monkeypatch, monomials,
                                                                         want, line):
     r = sum(next(iter(monomials)))
-    alphas, corners, halves, split = _subdivision(r, 3)
+    alphas, corners, children, split = _subdivision(r, 3)
     monkeypatch.setattr(chain_module, "_subdivision",
-                        lambda *_: (alphas, corners, halves, split.view(_CountedSplit)))
+                        lambda *_: (alphas, corners, children, split.view(_CountedSplit)))
     _CountedSplit.rows = []
     y = _bernstein_argmax(r, 3, _bernstein(r, 3, monomials))
     assert abs(_value(monomials, y) - want) <= 1e-15

@@ -161,6 +161,20 @@ def test_chain_subcommand(tmp_path, capsys):
     # rungs 3 and 9 have two twin classes, rung 8 three
     assert obj["segment_rungs"] == [3, 9] and "\nsegment rungs: 2 of 10\n" in out
     assert obj["triangle_rungs"] == [8] and "\ntriangle rungs: 1 of 10\n" in out
+    assert obj["tetrahedron_rungs"] == [] and "\ntetrahedron rungs: 0 of 10\n" in out
+    assert out.index("triangle rungs:") < out.index("tetrahedron rungs:") < out.index("top value:")
+
+
+def test_chain_subcommand_lists_tetrahedron_rungs(tmp_path, capsys):
+    # colex r=4 m=6 rung 11 has the twin classes {1}, {2, 3}, {4}, {5, 6}
+    code = dispatch(
+        ["chain", "--r", "4", "--m", "6", "--format", "json", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    obj = json.loads(_artifacts(tmp_path, "chain-")[0][0].read_text())
+    assert obj["tetrahedron_rungs"] == [11] and "\ntetrahedron rungs: 1 of 15\n" in out
+    assert obj["kkt_ok"] and "\nkkt residuals: ok (largest " in out
 
 
 _VERDICT_LINES = {"gap_ok": "step bound: ",
