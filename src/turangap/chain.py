@@ -19,7 +19,8 @@ e's own monomial counts in lambda_i.  As w^r >= step_i / b,
 lambda_{i-1} = lambda_i - step_i <= 1 - step_i / b, that is
 step_i <= b (1 - lambda_{i-1}): a step of b can only start from 0.
 
-Each rung takes one of three routes, decided from its own edge set.
+Each rung takes one of three routes, read from one link table (v's link: the
+(r-1)-tuples completing v to an edge) that grows by r links per rung.
 
 - Closed form.  On t covered vertices, K_t has lambda(K_t) = r! C(t, r) / t^r
   at its uniform point.  A rung that contains K_{t-1} and leaves some vertex
@@ -54,13 +55,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial, prod
 from typing import Sequence
 
 import numpy as np
 
-from .patterns import evaluate, simple_pattern
+from .patterns import _multisets, evaluate, simple_pattern
 from .simplex import _check_seed, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step checks
@@ -147,18 +148,20 @@ class ChainLadder:
 
 
 def _closed_form(
-    r: int, m: int, edges: Sequence[tuple[int, ...]]
+    r: int, m: int, size: int, links: dict[int, set[tuple[int, ...]]]
 ) -> tuple[Fraction, tuple[float, ...]] | None:
-    """(lambda, uniform maximizer) of a rung that is K_t on its t vertices V,
-    or that holds K_{t-1} on V - v and leaves a pair of V in no edge; None
-    for every other rung."""
-    degree = Counter(v for e in edges for v in e)
-    t = len(degree)
-    support = set(degree) if len(edges) == comb(t, r) else None
-    if support is None and len({p for e in edges for p in combinations(e, 2)}) < comb(t, 2):
-        # the edges avoiding v are all r-sets of V - v iff they number C(t-1, r)
-        support = next((set(degree) - {v} for v in sorted(degree)
-                        if len(edges) - degree[v] == comb(t - 1, r)), None)
+    """(lambda, uniform maximizer) of a rung of ``size`` edges that is K_t on
+    its t vertices V, or holds K_{t-1} on V - v and leaves a pair of V in no
+    edge; None for every other rung.  v's degree is the size of its link;
+    the edges avoiding v are all r-sets of V - v iff they number C(t-1, r),
+    and then an uncovered pair holds v: v's link misses some u."""
+    t = len(links)
+    if size == comb(t, r):
+        support = set(links)
+    else:
+        rest = size - comb(t - 1, r)
+        support = next((set(links) - {v} for v in sorted(links) if len(links[v]) == rest
+                        and len({u for f in links[v] for u in f}) < t - 1), None)
     if support is None:
         return None
     s = len(support)
@@ -166,18 +169,14 @@ def _closed_form(
     return _clique_value(r, s), point
 
 
-def _twin_classes(edges: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """The covered vertices in twin classes, each in vertex order.
+def _twin_classes(links: dict[int, set[tuple[int, ...]]]) -> list[list[int]]:
+    """The covered vertices in twin classes, each in vertex order, from links.
 
     u and v are twins when swapping them fixes the edge set, that is when
     u's link without v equals v's link without u, as sets of (r-1)-tuples.
     Twins have equal degrees, and twinhood is an equivalence, so each
     vertex is compared with the first vertex of each class of its degree.
     """
-    links: dict[int, set[tuple[int, ...]]] = {}
-    for e in edges:
-        for v in e:
-            links.setdefault(v, set()).add(tuple(u for u in e if u != v))
     classes: list[list[int]] = []
     for v in sorted(links):
         for cls in classes:
@@ -207,7 +206,7 @@ def _subdivision(r: int, k: int) -> tuple[list, list[int], np.ndarray, np.ndarra
     over the copies sent to v_0, with binomial weights over 2^gamma_t: the
     weights are dyadic, exact in floats, and each column sums to 1.
     """
-    alphas = [a for a in product(range(r + 1), repeat=k) if sum(a) == r]
+    alphas = list(map(tuple, _multisets(r, k).tolist()))
     index = {a: i for i, a in enumerate(alphas)}
     n = len(alphas)
     split, vertices = np.eye(n), np.eye(k)[None]
@@ -285,13 +284,16 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
     points = [tuple([1.0 / m] * m)]
     kkts = [0.0]
     by_classes: dict[int, list[int]] = {2: [], 3: [], 4: []}
-    for k in range(1, len(edges) + 1):
+    links: dict[int, set[tuple[int, ...]]] = {}  # covered vertex -> its link
+    for k, edge in enumerate(edges, start=1):
+        for v in edge:
+            links.setdefault(v, set()).add(tuple(u for u in edge if u != v))
         rung = edges[:k]
         pattern = simple_pattern(r, m, rung)
-        closed = _closed_form(r, m, rung)
+        closed = _closed_form(r, m, k, links)
         if closed is not None:
             value, point = float(closed[0]), closed[1]
-        elif len(classes := _twin_classes(rung)) <= 4:
+        elif len(classes := _twin_classes(links)) <= 4:
             point = _class_point(r, m, rung, classes)
             value = evaluate(pattern, point)
             by_classes[len(classes)].append(k)
@@ -344,7 +346,9 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
     is a near-equality violation: the bound of the module docstring, under
     which a step of r!/r^r can only start from 0.  A larger KKT residual
     means the rung's point is not stationary, so its value may sit below
-    the rung's maximum.
+    the rung's maximum.  The KKT gate is first-order: a rung stuck at a
+    zero of lambda, where the gradient vanishes too, passes it, and the
+    step audit is what reports that rung.
 
     Cover corollary: rung 0 holds the least value 0, so for neighbours a < b
     among the sorted values the first rung i reaching b has a rung i - 1 at

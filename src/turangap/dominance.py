@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .patterns import Pattern, json_int
+from .patterns import Pattern, _multisets, json_int
 from .simplex import _check_seed
 
 Composition = tuple[int, ...]
@@ -181,21 +181,9 @@ def pattern_of(a: DownSet) -> Pattern:
     """Pattern on [s] of all r-multisets whose sorted profile lies in a."""
     if a.r < 2:
         raise ValueError(f"patterns need r >= 2, got r={a.r}")
-    ms = []
-    for mult in _ordered_tuples(a.r, a.s):
-        if tuple(sorted(mult, reverse=True)) in a.members:
-            ms.append(mult)
+    ms = [mult for mult in map(tuple, _multisets(a.r, a.s).tolist())
+          if tuple(sorted(mult, reverse=True)) in a.members]
     return Pattern(a.r, a.s, tuple(ms))
-
-
-def _ordered_tuples(r: int, s: int) -> Iterator[tuple[int, ...]]:
-    """All s-tuples of non-negative integers summing to r, lex order."""
-    if s == 1:
-        yield (r,)
-        return
-    for first in range(r + 1):
-        for rest in _ordered_tuples(r - first, s - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

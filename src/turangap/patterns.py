@@ -124,6 +124,23 @@ def _multiplicities(m: int, elements: Iterable[int]) -> tuple[int, ...]:
     return tuple(mult)
 
 
+def _multisets(r: int, m: int) -> np.ndarray:
+    """Every r-multiset on [m] as a row of m multiplicities: the
+    C(r + m - 1, m - 1) compositions of r into m parts, built whole as one
+    int32 array in lexicographic order (the stars-and-bars order of the bar
+    positions).  Each round appends every value a part can still take to
+    every row; nothing is cached."""
+    rows = np.zeros((1, 0), dtype=np.int32)
+    left = np.array([r], dtype=np.int32)  # not yet given to a part
+    for _ in range(m - 1):
+        counts = left + 1
+        part = np.arange(counts.sum(), dtype=np.int32)
+        part -= np.repeat(part[np.cumsum(counts) - counts], counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), part])
+        left = np.repeat(left, counts) - part
+    return np.column_stack([rows, left])
+
+
 def simple_pattern(r: int, m: int, edges: Iterable[Iterable[int]]) -> Pattern:
     """Pattern whose multisets are plain r-sets (no repeated vertices)."""
     ms = []

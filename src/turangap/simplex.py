@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .patterns import Pattern, evaluate, evaluate_batch, pattern_to_dict
+from .patterns import Pattern, _multisets, evaluate, evaluate_batch, pattern_to_dict
 
 SUPPORT_EPS = 1e-14
 _TOLERANCE = 1e-12  # a candidate step moving less than this ends its start, untaken
@@ -240,12 +240,8 @@ def certificate(p: Pattern, result: OptResult) -> dict:
 
 
 def _grid_points(resolution: int, m: int) -> Iterable[np.ndarray]:
-    """Simplex grid {k / resolution} in float64 batches of _GRID_BLOCK rows.
-
-    The compositions of resolution into m parts are built whole, as one
-    C(resolution + m - 1, m - 1) x m int32 array in lexicographic order (the
-    stars-and-bars order of the bar positions): each round appends every
-    value a part can still take to every row.  Nothing is cached.
+    """Simplex grid {k / resolution} in float64 batches of _GRID_BLOCK rows,
+    the points in ``_multisets(resolution, m)`` order.
 
     Only one block is converted at a time, so evaluate_batch's (rows x
     monomials x r) gather stays small and in cache.  The block size must
@@ -254,15 +250,7 @@ def _grid_points(resolution: int, m: int) -> Iterable[np.ndarray]:
     last bits), and then the grid maximum, and the bound, would depend on
     where a block ends.  Only the grid's own last block is shorter.
     """
-    rows = np.zeros((1, 0), dtype=np.int32)
-    left = np.array([resolution], dtype=np.int32)  # not yet given to a part
-    for _ in range(m - 1):
-        counts = left + 1
-        part = np.arange(counts.sum(), dtype=np.int32)
-        part -= np.repeat(part[np.cumsum(counts) - counts], counts)
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), part])
-        left = np.repeat(left, counts) - part
-    rows = np.column_stack([rows, left])
+    rows = _multisets(resolution, m)
     for i in range(0, len(rows), _GRID_BLOCK):
         yield rows[i:i + _GRID_BLOCK].astype(np.float64) / resolution
 

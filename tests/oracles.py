@@ -6,7 +6,8 @@ a pattern's coefficient sum (`Pattern.coefficient_sum`) checks
 the edge lists of `blow_up`; the widest gap between sorted chain values
 checks the cover corollary of `verify_gap_bound`; walking m up from r
 checks `minimal_m`, which walks down from the Weierstrass bound; swapping
-each vertex pair checks the twin classes of a chain rung.  Restriction of a
+each vertex pair checks the twin classes of a chain rung, read from a link
+table built here from the rung's whole edge list.  Restriction of a
 down-set, the variable deletion behind the uniform-point lemma, is used only
 by tests that check down-closure survives it.  The complete pattern K_m,
 random patterns with repeated elements and chain ladders with given rung
@@ -84,6 +85,15 @@ def swap_twin_classes(edges: Iterable[tuple[int, ...]]) -> list[list[int]]:
 
     classes = {tuple(u for u in vertices if fixed_by_swap(u, v)) for v in vertices}
     return sorted(map(list, classes))
+
+
+def link_table(edges: Iterable[tuple[int, ...]]) -> dict[int, set[tuple[int, ...]]]:
+    """Each covered vertex's link: the (r-1)-tuples completing it to an edge."""
+    links: dict[int, set[tuple[int, ...]]] = {}
+    for e in edges:
+        for v in e:
+            links.setdefault(v, set()).add(tuple(u for u in e if u != v))
+    return links
 
 
 def brute_occupancy_counts(r: int, s: int) -> dict:

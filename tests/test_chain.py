@@ -17,6 +17,7 @@ from turangap.chain import (
     _STEP_SLACK,
     _bernstein_argmax,
     _clique_value,
+    _closed_form,
     _subdivision,
     _twin_classes,
     edge_enumeration,
@@ -25,7 +26,8 @@ from turangap.patterns import simple_pattern
 import turangap.simplex as sx
 from turangap.simplex import maximize
 
-from oracles import fabricated_ladder, max_value_gap, minimal_m_by_walk, swap_twin_classes
+from oracles import (fabricated_ladder, link_table, max_value_gap, minimal_m_by_walk,
+                     swap_twin_classes)
 
 
 def test_minimal_m_r3_is_13():
@@ -205,7 +207,7 @@ def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
     optimized = [i for i in range(1, len(starved.values))
                  if starved.exact_values[i] is None and i not in bernstein]
     assert optimized == [41, 42, 44, 50]
-    assert [len(_twin_classes(starved.edges[:i])) for i in optimized] == [5, 6, 5, 5]
+    assert [len(_twin_classes(link_table(starved.edges[:i]))) for i in optimized] == [5, 6, 5, 5]
     assert gap.kkt_violations == (41, 42, 44, 50) and not gap.ok
     assert verify_gap_bound(build_chain_ladder(5, 8)).kkt_violations == ()
 
@@ -232,6 +234,19 @@ def test_starved_branch_and_bound_fails_the_kkt_gate_on_a_tetrahedron(monkeypatc
     assert {27, 30} <= set(gap.kkt_violations) and not gap.ok
     assert min(starved.kkt_residuals[i] for i in (27, 30)) > 1
     assert verify_gap_bound(build_chain_ladder(4, 7)).ok
+
+
+def test_kkt_gate_passes_a_rung_stuck_at_a_zero_of_lambda(monkeypatch):
+    # colex r=4 m=6 rung 11 has classes {1}, {2,3}, {4}, {5,6}; one level
+    # stops at the corner e_1, where every edge meets two classes, so lambda
+    # and its gradient vanish: the first-order gate passes, the step audit fails
+    with monkeypatch.context() as mp:
+        mp.setattr(chain_module, "_MAX_DEPTH", 1)
+        starved = build_chain_ladder(4, 6)
+    assert starved.tetrahedron_rungs == (11,)
+    assert starved.values[11] == 0.0 and starved.kkt_residuals[11] == 0.0
+    gap = verify_gap_bound(starved)
+    assert 11 in gap.step_violations and 11 not in gap.kkt_violations
 
 
 def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
@@ -287,6 +302,15 @@ def test_closed_form_rungs_qualify_by_structure_and_match_the_optimizer(r, m, or
     assert lad.exact_values[-1] == Fraction(factorial(r) * comb(m, r), m**r)
 
 
+def test_closed_form_drops_the_lowest_vertex_of_a_tie():
+    # random r=2 m=3 seed 1, rung 2 is {13, 23}: dropping 1 or 2 leaves K_2
+    # on a vertex whose link misses the other; the lowest, 1, is dropped
+    lad = build_chain_ladder(2, 3, "random", 1)
+    assert lad.edges[:2] == ((1, 3), (2, 3))
+    assert _closed_form(2, 3, 2, link_table(lad.edges[:2])) == (Fraction(1, 2), (0.0, 0.5, 0.5))
+    assert lad.exact_values[2] == Fraction(1, 2) and lad.points[2] == (0.0, 0.5, 0.5)
+
+
 def test_clique_with_every_pair_covered_runs_the_optimizer():
     # colex r=3 m=5, rung 8: K_4 plus 125, 135, 235, 145 covers every pair of [5]
     lad = build_chain_ladder(3, 5)
@@ -299,19 +323,26 @@ def test_clique_with_every_pair_covered_runs_the_optimizer():
     assert lad.exact_values[7] == Fraction(3, 8)
 
 
-_TWIN_CHAINS = [(3, 7, "colex"), (4, 6, "colex"), (5, 8, "colex"), (3, 7, "lex"),
-                (3, 7, "random")]
+# the fixed orders keep their r-m-order case ids; random orders add a seed
+_TWIN_CHAINS = [pytest.param(r, m, order, 0, id=f"{r}-{m}-{order}")
+                for r, m, order in [(3, 7, "colex"), (4, 6, "colex"), (5, 8, "colex"),
+                                    (3, 7, "lex"), (3, 7, "random")]]
+_TWIN_CHAINS += [(r, m, "random", seed) for seed in range(1, 6) for r, m in [(3, 7), (4, 6)]]
 
 
-@pytest.mark.parametrize("r,m,order", _TWIN_CHAINS)
-def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order):
-    lad = build_chain_ladder(r, m, order)
-    by_classes = {2: [], 3: [], 4: []}
+@pytest.mark.parametrize("r,m,order,seed", _TWIN_CHAINS)
+def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order, seed):
+    # the ladder grows one link table; each rung's table is rebuilt here
+    lad = build_chain_ladder(r, m, order, seed)
+    closed, by_classes = [], {2: [], 3: [], 4: []}
     for i in range(1, len(lad.values)):
         classes = swap_twin_classes(lad.edges[:i])
-        assert _twin_classes(lad.edges[:i]) == classes, i
-        if len(classes) in by_classes and not _qualifies(r, lad.edges[:i]):
+        assert _twin_classes(link_table(lad.edges[:i])) == classes, i
+        if _qualifies(r, lad.edges[:i]):
+            closed.append(i)
+        elif len(classes) in by_classes:
             by_classes[len(classes)].append(i)
+    assert lad.closed_form_rungs == tuple(closed)
     assert lad.segment_rungs == tuple(by_classes[2])
     assert lad.triangle_rungs == tuple(by_classes[3])
     assert lad.tetrahedron_rungs == tuple(by_classes[4])

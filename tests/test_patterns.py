@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, isclose, prod
 
 import numpy as np
@@ -19,6 +19,7 @@ from turangap import (
     simple_pattern,
 )
 from turangap.patterns import (
+    _multisets,
     largest_remainder_sizes,
     pattern_from_dict,
     pattern_to_dict,
@@ -191,6 +192,15 @@ def test_json_roundtrip_on_random_patterns():
     assert sum(max(c for d in p.multisets for c in d) > 1 for p in patterns) > 100
     for p in patterns:
         assert pattern_from_dict(pattern_to_dict(p)) == p
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("r", range(7))
+def test_multisets_list_every_r_multiset_in_lexicographic_order(r, m):
+    rows = _multisets(r, m)
+    assert rows.shape == (comb(r + m - 1, m - 1), m)
+    assert list(map(tuple, rows.tolist())) == [
+        a for a in product(range(r + 1), repeat=m) if sum(a) == r]
 
 
 def test_profile_worked_case():
