@@ -20,13 +20,19 @@ lambda_{i-1} = lambda_i - step_i <= 1 - step_i / b, that is
 step_i <= b (1 - lambda_{i-1}): a step of b can only start from 0.
 
 Each rung takes one of three routes, read from one link table (v's link: the
-(r-1)-tuples completing v to an edge) that grows by r links per rung.
+(r-1)-tuples completing v to an edge) that grows by r links per rung, and
+that route alone gives its value, point and KKT residual.  ``ROUTES`` names
+them, Bernstein by its simplex: a ladder's ``routes[i]`` is rung i's.
 
 - Closed form.  On t covered vertices, K_t has lambda(K_t) = r! C(t, r) / t^r
   at its uniform point.  A rung that contains K_{t-1} and leaves some vertex
   pair in no edge has lambda(K_{t-1}) exactly: one weight of an uncovered
   pair can be set to zero (Frankl and Rodl, Combinatorica 1984), leaving
-  t - 1 vertices.
+  t - 1 vertices.  The rung builds no pattern, and its KKT residual is 0:
+  at the uniform point of its s-vertex support every partial there is
+  r lambda by symmetry, and a dropped vertex misses some u, so its link
+  holds at most C(s - 1, r - 1) of the support's (r-1)-sets: its partial
+  is at most r lambda.
 - Bernstein.  Vertices u and v are twins when swapping them fixes the
   edge set.  Along x + t(e_u - e_v), lambda is concave in t and symmetric
   about x_u = x_v, so averaging twins never lowers it (the argument behind
@@ -65,9 +71,11 @@ from .patterns import _multisets, evaluate, simple_pattern
 from .simplex import _check_seed, kkt_residual, maximize
 
 _STEP_SLACK = 1e-6  # float slack of the r!/r^r step checks
-_KKT_BOUND = 1e-6  # largest first-order residual a rung with no closed form may keep
+_KKT_BOUND = 1e-6  # largest first-order residual a rung may keep
 _MAX_DEPTH = 26  # levels of Bernstein subdivision; deeper, rounding keeps pieces alive
 _MAX_PIECES = 256  # live pieces per level, for maxima along a line or a face
+# the route of each rung; ROUTES[k] names the simplex of k = 2, 3, 4 twin classes
+ROUTES = ("empty", "closed-form", "segment", "triangle", "tetrahedron", "optimizer")
 
 
 def _clique_value(r: int, t: int) -> Fraction:
@@ -110,10 +118,10 @@ def edge_enumeration(
 @dataclass(frozen=True)
 class ChainLadder:
     """Certified values along one chain of r-sets on m vertices, index i
-    holding the i-edge pattern.  ``exact_values[i]`` is the closed-form
-    value, 0 at rung 0, None where Bernstein or the optimizer ran; the
-    Bernstein rungs with two, three and four twin classes are listed in
-    ``segment_rungs``, ``triangle_rungs`` and ``tetrahedron_rungs``."""
+    holding the i-edge pattern.  ``routes[i]`` names the one route, from
+    ROUTES, that gave rung i its value, point and KKT residual;
+    ``exact_values[i]`` is the closed-form value, 0 at rung 0, None where
+    Bernstein or the optimizer ran."""
 
     r: int
     m: int
@@ -122,14 +130,17 @@ class ChainLadder:
     exact_values: tuple[Fraction | None, ...]
     points: tuple[tuple[float, ...], ...]
     kkt_residuals: tuple[float, ...]
-    segment_rungs: tuple[int, ...]
-    triangle_rungs: tuple[int, ...]
-    tetrahedron_rungs: tuple[int, ...]
+    routes: tuple[str, ...]
+
+    def rungs(self, route: str) -> tuple[int, ...]:
+        """Indices of the rungs that ``route``, one of ROUTES, solved."""
+        if route not in ROUTES:
+            raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
+        return tuple(i for i, x in enumerate(self.routes) if x == route)
 
     @property
     def closed_form_rungs(self) -> tuple[int, ...]:
-        """Indices of the rungs with edges whose value came from a closed form."""
-        return tuple(i for i, v in enumerate(self.exact_values) if i and v is not None)
+        return self.rungs("closed-form")
 
     @property
     def steps(self) -> tuple[float, ...]:
@@ -273,49 +284,32 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
     a closed form; Bernstein, when the rung's covered vertices form two to
     four twin classes; else ``maximize`` from the seed, warm-started from
     the previous rung's point, which keeps the values monotone up to float
-    rounding.  Rung 1 (one r-set, so K_r) is always closed-form.  A
-    Bernstein rung's value is the pattern at its point; every KKT residual
-    is computed at the rung's point, on the full pattern.  A bad argument
-    raises before any rung is built.
+    rounding.  Rung 1 (one r-set, so K_r) is always closed-form.  The route
+    that solves a rung, recorded in ``routes``, also gives its KKT residual:
+    0 for a closed form, the pattern's at a Bernstein point, ``maximize``'s
+    own for the optimizer.  Only these two build the rung's pattern.  A bad
+    argument raises before any rung is built.
     """
     edges = edge_enumeration(r, m, order, seed)
-    values = [0.0]
-    exact: list[Fraction | None] = [Fraction(0)]
-    points = [tuple([1.0 / m] * m)]
-    kkts = [0.0]
-    by_classes: dict[int, list[int]] = {2: [], 3: [], 4: []}
+    # one row per rung, in ChainLadder's field order
+    rows = [(0.0, Fraction(0), tuple([1.0 / m] * m), 0.0, "empty")]
     links: dict[int, set[tuple[int, ...]]] = {}  # covered vertex -> its link
     for k, edge in enumerate(edges, start=1):
         for v in edge:
             links.setdefault(v, set()).add(tuple(u for u in edge if u != v))
-        rung = edges[:k]
-        pattern = simple_pattern(r, m, rung)
-        closed = _closed_form(r, m, k, links)
-        if closed is not None:
-            value, point = float(closed[0]), closed[1]
-        elif len(classes := _twin_classes(links)) <= 4:
-            point = _class_point(r, m, rung, classes)
-            value = evaluate(pattern, point)
-            by_classes[len(classes)].append(k)
+        if (closed := _closed_form(r, m, k, links)) is not None:
+            rows.append((float(closed[0]), closed[0], closed[1], 0.0, "closed-form"))
+            continue
+        pattern = simple_pattern(r, m, edges[:k])
+        if len(classes := _twin_classes(links)) <= 4:
+            point = _class_point(r, m, edges[:k], classes)
+            rows.append((evaluate(pattern, point), None, point, kkt_residual(pattern, point),
+                         ROUTES[len(classes)]))
         else:
-            res = maximize(pattern, seed, extra_starts=[points[-1]])
-            value, point = res.value, tuple(res.point.tolist())
-        values.append(value)
-        exact.append(None if closed is None else closed[0])
-        points.append(point)
-        kkts.append(kkt_residual(pattern, point))
-    return ChainLadder(
-        r=r,
-        m=m,
-        edges=edges,
-        values=tuple(values),
-        exact_values=tuple(exact),
-        points=tuple(points),
-        kkt_residuals=tuple(kkts),
-        segment_rungs=tuple(by_classes[2]),
-        triangle_rungs=tuple(by_classes[3]),
-        tetrahedron_rungs=tuple(by_classes[4]),
-    )
+            res = maximize(pattern, seed, extra_starts=[rows[-1][2]])  # previous rung's point
+            rows.append((res.value, None, tuple(res.point.tolist()), res.kkt_residual,
+                         "optimizer"))
+    return ChainLadder(r, m, edges, *zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -337,8 +331,8 @@ class GapReport:
 
 def verify_gap_bound(lad: ChainLadder) -> GapReport:
     """Check every step against [0, r!/r^r] and against where it starts,
-    the KKT residual of every rung with no closed form against _KKT_BOUND,
-    and, once lambda(K_m) > 1 - r!/r^r, that the top rung has an exact value above it.
+    the KKT residual of every rung against _KKT_BOUND, and, once
+    lambda(K_m) > 1 - r!/r^r, that the top rung has an exact value above it.
 
     A step outside [-1e-9, r!/r^r + _STEP_SLACK] is reported, not raised:
     adding an r-set never lowers the maximum and raises it by at most
@@ -367,9 +361,7 @@ def verify_gap_bound(lad: ChainLadder) -> GapReport:
         bound=bound,
         step_violations=tuple(step_viol),
         near_violations=tuple(near_viol),
-        kkt_violations=tuple(
-            i for i, (exact, kkt) in enumerate(zip(lad.exact_values, lad.kkt_residuals))
-            if exact is None and kkt > _KKT_BOUND),
+        kkt_violations=tuple(i for i, kkt in enumerate(lad.kkt_residuals) if kkt > _KKT_BOUND),
         top_ok=None if _clique_value(lad.r, lad.m) <= target
         else top is not None and top > target,
     )

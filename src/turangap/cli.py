@@ -8,7 +8,8 @@ normalize each flag; artifact names are content-addressed from the parsed
 flags, an input file standing in by its normalized content rather than its
 path, so identical invocations rewrite byte-identical primary outputs.
 The manifest wall time (Monte Carlo included) is informational only.
-Stdout holds only the summary; the artifact path goes to stderr.
+Stdout holds only the summary; the artifact path goes to stderr, and so
+does each warning a command raises, as ``turangap <command>: warning: <message>``.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
 (argparse's, or ``turangap <command>: <message>``).  ``chain`` prints the
@@ -28,11 +29,12 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .chain import build_chain_ladder, minimal_m, verify_gap_bound
+from .chain import ROUTES, build_chain_ladder, minimal_m, verify_gap_bound
 from .dominance import (
     bunching_verify,
     downset_to_dict,
@@ -137,6 +139,7 @@ def _handle_chain(args) -> Result:
     lad = build_chain_ladder(r, m, args.order, args.seed)
     gap = verify_gap_bound(lad)
     steps = (0.0,) + lad.steps
+    listed = ROUTES[1:5]  # closed-form and the three Bernstein simplices
     rows = [
         [i, i, f"{lad.values[i]:.17g}", f"{steps[i]:.17g}", f"{lad.kkt_residuals[i]:.3e}"]
         for i in range(len(lad.values))
@@ -148,10 +151,7 @@ def _handle_chain(args) -> Result:
         "values": [float(v) for v in lad.values],
         "steps": [float(s) for s in steps],
         "kkt_residuals": [float(k) for k in lad.kkt_residuals],
-        "closed_form_rungs": list(lad.closed_form_rungs),
-        "segment_rungs": list(lad.segment_rungs),
-        "triangle_rungs": list(lad.triangle_rungs),
-        "tetrahedron_rungs": list(lad.tetrahedron_rungs),
+        **{f"{route.replace('-', '_')}_rungs": list(lad.rungs(route)) for route in listed},
         "max_step": lad.max_step,
         "max_step_index": lad.max_step_index,
         "gap_ok": not gap.step_violations,
@@ -161,10 +161,7 @@ def _handle_chain(args) -> Result:
     }
     summary = [
         f"chain r={r} m={m} order={args.order}: {len(lad.edges)} edges",
-        f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}",
-        f"segment rungs: {len(lad.segment_rungs)} of {len(lad.edges)}",
-        f"triangle rungs: {len(lad.triangle_rungs)} of {len(lad.edges)}",
-        f"tetrahedron rungs: {len(lad.tetrahedron_rungs)} of {len(lad.edges)}",
+        *(f"{route} rungs: {len(lad.rungs(route))} of {len(lad.edges)}" for route in listed),
         f"top value:  {lad.values[-1]:.9f} (threshold {1 - gap.bound:.9f}, "
         f"checked: {'False' if gap.top_ok is None else 'True' if gap.top_ok else 'VIOLATED'})",
         f"max step:   {lad.max_step:.9f} at index {lad.max_step_index} "
@@ -440,7 +437,10 @@ def dispatch(argv) -> int:
         return int(code) if code is not None else 0
     started = time.perf_counter()
     try:
-        result = args.handler(args)
+        with warnings.catch_warnings():  # the filters stay, so an "error" filter still raises
+            warnings.showwarning = lambda message, *_: print(
+                f"turangap {args.command}: warning: {message}", file=sys.stderr)
+            result = args.handler(args)
         path = _write(args, result, round(time.perf_counter() - started, 6))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"turangap {args.command}: {exc}", file=sys.stderr)

@@ -54,8 +54,9 @@ def fabricated_ladder(*values: float, m: int = 8) -> ChainLadder:
     run; the top rung is closed-form, as in every built ladder."""
     edges = edge_enumeration(3, m)[: len(values) - 1]
     exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
+    routes = ("empty",) + ("optimizer",) * (len(values) - 2) + ("closed-form",)
     return ChainLadder(3, m, edges, values, exact,
-                       ((1 / m,) * m,) * len(values), (0.0,) * len(values), (), (), ())
+                       ((1 / m,) * m,) * len(values), (0.0,) * len(values), routes)
 
 
 def minimal_m_by_walk(r: int) -> int:

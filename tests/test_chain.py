@@ -1,5 +1,6 @@
 """One-edge-at-a-time chains and the step-size bound."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from turangap import build_chain_ladder, minimal_m, verify_gap_bound
 import turangap.chain as chain_module
 from turangap.chain import (
+    ROUTES,
     _KKT_BOUND,
     _STEP_SLACK,
     _bernstein_argmax,
@@ -24,7 +26,7 @@ from turangap.chain import (
 )
 from turangap.patterns import simple_pattern
 import turangap.simplex as sx
-from turangap.simplex import maximize
+from turangap.simplex import kkt_residual, maximize
 
 from oracles import (fabricated_ladder, link_table, max_value_gap, minimal_m_by_walk,
                      swap_twin_classes)
@@ -203,10 +205,8 @@ def test_starved_optimizer_fails_the_kkt_gate(monkeypatch):
     assert not gap.step_violations and not gap.near_violations
     # rungs 41, 42, 44 and 50 have five or six twin classes; the rungs with
     # two to four never reach the optimizer
-    bernstein = starved.segment_rungs + starved.triangle_rungs + starved.tetrahedron_rungs
-    optimized = [i for i in range(1, len(starved.values))
-                 if starved.exact_values[i] is None and i not in bernstein]
-    assert optimized == [41, 42, 44, 50]
+    optimized = starved.rungs("optimizer")
+    assert optimized == (41, 42, 44, 50)
     assert [len(_twin_classes(link_table(starved.edges[:i]))) for i in optimized] == [5, 6, 5, 5]
     assert gap.kkt_violations == (41, 42, 44, 50) and not gap.ok
     assert verify_gap_bound(build_chain_ladder(5, 8)).kkt_violations == ()
@@ -217,7 +217,7 @@ def test_starved_branch_and_bound_fails_the_kkt_gate(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(chain_module, "_MAX_DEPTH", 1)
         starved = build_chain_ladder(3, 5)
-    assert starved.segment_rungs == (3, 9) and starved.triangle_rungs == (8,)
+    assert starved.rungs("segment") == (3, 9) and starved.rungs("triangle") == (8,)
     gap = verify_gap_bound(starved)
     assert gap.kkt_violations == (3, 8, 9) and not gap.ok
     assert verify_gap_bound(build_chain_ladder(3, 5)).ok
@@ -229,7 +229,7 @@ def test_starved_branch_and_bound_fails_the_kkt_gate_on_a_tetrahedron(monkeypatc
     with monkeypatch.context() as mp:
         mp.setattr(chain_module, "_MAX_DEPTH", 1)
         starved = build_chain_ladder(4, 7)
-    assert starved.tetrahedron_rungs == (11, 27, 30)
+    assert starved.rungs("tetrahedron") == (11, 27, 30)
     gap = verify_gap_bound(starved)
     assert {27, 30} <= set(gap.kkt_violations) and not gap.ok
     assert min(starved.kkt_residuals[i] for i in (27, 30)) > 1
@@ -243,7 +243,7 @@ def test_kkt_gate_passes_a_rung_stuck_at_a_zero_of_lambda(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(chain_module, "_MAX_DEPTH", 1)
         starved = build_chain_ladder(4, 6)
-    assert starved.tetrahedron_rungs == (11,)
+    assert starved.rungs("tetrahedron") == (11,)
     assert starved.values[11] == 0.0 and starved.kkt_residuals[11] == 0.0
     gap = verify_gap_bound(starved)
     assert 11 in gap.step_violations and 11 not in gap.kkt_violations
@@ -251,9 +251,12 @@ def test_kkt_gate_passes_a_rung_stuck_at_a_zero_of_lambda(monkeypatch):
 
 def test_kkt_gate_reads_optimizer_rungs_against_its_bound():
     lad = fabricated_ladder(0.0, 0.1, 0.2)  # rung 1 optimized, rung 2 closed-form
-    assert verify_gap_bound(replace(lad, kkt_residuals=(0.0, _KKT_BOUND, 1.0))).ok
+    assert verify_gap_bound(replace(lad, kkt_residuals=(0.0, _KKT_BOUND, 0.0))).ok
     over = verify_gap_bound(replace(lad, kkt_residuals=(0.0, 1.5 * _KKT_BOUND, 0.0)))
     assert over.kkt_violations == (1,) and not over.step_violations and not over.ok
+    # a closed-form rung's residual is exactly 0 and gets no exemption
+    closed = verify_gap_bound(replace(lad, kkt_residuals=(0.0, 0.0, 1.0)))
+    assert closed.kkt_violations == (2,) and not closed.ok
 
 
 _STEPS = st.one_of(st.floats(-0.3, 0.3), st.floats(-1e-9, 0.0),
@@ -296,9 +299,12 @@ def test_closed_form_rungs_qualify_by_structure_and_match_the_optimizer(r, m, or
         s = sum(x > 0 for x in lad.points[i])
         assert lad.exact_values[i] == Fraction(factorial(r) * comb(s, r), s**r)
         assert lad.values[i] == float(lad.exact_values[i])
-        oracle = maximize(simple_pattern(r, m, lad.edges[:i]))
+        pattern = simple_pattern(r, m, lad.edges[:i])
+        oracle = maximize(pattern)
         assert abs(oracle.value - lad.values[i]) <= 1e-12, i
-        assert lad.kkt_residuals[i] < 1e-12, i
+        # the uniform point is exactly stationary; floats agree to rounding
+        assert lad.kkt_residuals[i] == 0.0, i
+        assert kkt_residual(pattern, lad.points[i]) <= 1e-14, i
     assert lad.exact_values[-1] == Fraction(factorial(r) * comb(m, r), m**r)
 
 
@@ -334,18 +340,16 @@ _TWIN_CHAINS += [(r, m, "random", seed) for seed in range(1, 6) for r, m in [(3,
 def test_segment_rungs_are_the_two_class_rungs_by_swapping(r, m, order, seed):
     # the ladder grows one link table; each rung's table is rebuilt here
     lad = build_chain_ladder(r, m, order, seed)
-    closed, by_classes = [], {2: [], 3: [], 4: []}
+    routes = ["empty"]
     for i in range(1, len(lad.values)):
         classes = swap_twin_classes(lad.edges[:i])
         assert _twin_classes(link_table(lad.edges[:i])) == classes, i
         if _qualifies(r, lad.edges[:i]):
-            closed.append(i)
-        elif len(classes) in by_classes:
-            by_classes[len(classes)].append(i)
-    assert lad.closed_form_rungs == tuple(closed)
-    assert lad.segment_rungs == tuple(by_classes[2])
-    assert lad.triangle_rungs == tuple(by_classes[3])
-    assert lad.tetrahedron_rungs == tuple(by_classes[4])
+            routes.append("closed-form")
+        else:
+            routes.append({2: "segment", 3: "triangle", 4: "tetrahedron"}.get(
+                len(classes), "optimizer"))
+    assert lad.routes == tuple(routes)
 
 
 # (triangle, tetrahedron) rung counts, kept out of the parametrization so
@@ -363,12 +367,11 @@ def test_segment_rungs_match_the_warm_started_optimizer(monkeypatch, r, m, order
     monkeypatch.setattr(chain_module, "maximize",
                         lambda p, *args, **kw: calls.append(p) or maximize(p, *args, **kw))
     lad = build_chain_ladder(r, m, order)
-    assert (len(lad.segment_rungs), len(lad.triangle_rungs),
-            len(lad.tetrahedron_rungs)) == (segment, triangle, tetrahedron)
-    bernstein = lad.segment_rungs + lad.triangle_rungs + lad.tetrahedron_rungs
-    # every rung is closed-form, solved by Bernstein or optimized, never two
-    assert len(calls) == len(lad.edges) - len(lad.closed_form_rungs) - len(bernstein)
-    assert not set(bernstein) & set(lad.closed_form_rungs)
+    assert (len(lad.rungs("segment")), len(lad.rungs("triangle")),
+            len(lad.rungs("tetrahedron"))) == (segment, triangle, tetrahedron)
+    bernstein = lad.rungs("segment") + lad.rungs("triangle") + lad.rungs("tetrahedron")
+    # maximize runs once per optimizer rung, never on another route's rung
+    assert len(calls) == len(lad.rungs("optimizer"))
     for i in bernstein:
         pattern = simple_pattern(r, m, lad.edges[:i])
         assert pattern not in calls
@@ -377,18 +380,52 @@ def test_segment_rungs_match_the_warm_started_optimizer(monkeypatch, r, m, order
         assert lad.exact_values[i] is None and lad.kkt_residuals[i] <= 1e-7, i
 
 
+def test_routes_record_one_route_per_rung():
+    lad = build_chain_ladder(5, 8)
+    assert Counter(lad.routes) == {"empty": 1, "closed-form": 25, "segment": 9, "triangle": 9,
+                                   "tetrahedron": 9, "optimizer": 4}
+    assert sorted(i for route in ROUTES for i in lad.rungs(route)) == list(range(57))
+    with pytest.raises(ValueError, match="unknown route"):
+        lad.rungs("bernstein")
+
+
+def test_only_rungs_with_no_closed_form_build_a_pattern(monkeypatch):
+    # colex r=3 m=13: 231 of the 286 rungs are closed-form and build none
+    calls = []
+    monkeypatch.setattr(chain_module, "simple_pattern",
+                        lambda *args: calls.append(args) or simple_pattern(*args))
+    lad = build_chain_ladder(3, 13)
+    assert len(calls) == 55 == len(lad.edges) - len(lad.closed_form_rungs)
+
+
+def test_optimizer_rungs_keep_the_residual_maximize_returned(monkeypatch):
+    # the n-th result's residual is shifted by n, so a recomputed one would differ
+    results = []
+
+    def tagged(*args, **kw):
+        res = maximize(*args, **kw)
+        results.append(replace(res, kkt_residual=res.kkt_residual + len(results)))
+        return results[-1]
+
+    monkeypatch.setattr(chain_module, "maximize", tagged)
+    lad = build_chain_ladder(3, 7, "random", 0)
+    assert len(results) == len(lad.rungs("optimizer")) == 29
+    for i, res in zip(lad.rungs("optimizer"), results):
+        assert lad.kkt_residuals[i] == res.kkt_residual and lad.values[i] == res.value, i
+
+
 def test_rational_segment_rungs():
     # colex r=3 rung 3 is {123, 124, 134}: vertex 1, then 2, 3, 4
     lad = build_chain_ladder(3, 7)
-    assert 3 in lad.segment_rungs and abs(lad.values[3] - 8 / 27) <= 1e-15
+    assert 3 in lad.rungs("segment") and abs(lad.values[3] - 8 / 27) <= 1e-15
     lad = build_chain_ladder(4, 6)
-    assert {3, 4} <= set(lad.segment_rungs)
+    assert {3, 4} <= set(lad.rungs("segment"))
     assert abs(lad.values[3] - 1 / 8) <= 1e-15
     assert abs(lad.values[4] - 81 / 512) <= 1e-15
     # lex r=4 m=6 rung 7 peaks at the dyadic point (1/4, 3/16, 3/16, 3/16,
     # 3/16, 0) of its four twin classes; the optimizer stopped 1.6e-12 short
     lad = build_chain_ladder(4, 6, "lex")
-    assert 7 in lad.tetrahedron_rungs and lad.values[7] == 81 / 512
+    assert 7 in lad.rungs("tetrahedron") and lad.values[7] == 81 / 512
 
 
 def _bernstein(r, k, monomials):

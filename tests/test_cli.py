@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -349,6 +350,30 @@ def test_lemma_check_all_downsets(tmp_path, capsys):
     rows = list(csv.DictReader(primaries[0].open()))
     assert len(rows) == 3  # chain poset on {(2,1),(3,0)} plus empty family
     assert all(r["status"] == "pass" for r in rows)
+
+
+def test_lemma_check_prints_coarse_grid_warnings_without_source_paths(tmp_path, capsys):
+    # three r=4 s=3 families get grid bounds far above 1; each warning is one
+    # line naming the command, with no library path or source line
+    code = dispatch(
+        ["lemma-check", "--r", "4", "--s", "3", "--all-downsets", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    warned = [line for line in err if line.startswith("turangap lemma-check: warning: ")]
+    assert len(warned) == 3 and all("too coarse" in line for line in warned)
+    assert len(err) == 4 and err[-1].startswith("wrote ")
+    assert not any(".py" in line for line in err)
+
+
+def test_cli_warnings_keep_the_error_filters(tmp_path, monkeypatch):
+    # pytest turns a RuntimeWarning into an error; dispatch must not catch it
+    def overflow(r):
+        warnings.warn("overflow encountered", RuntimeWarning)
+
+    monkeypatch.setattr("turangap.cli.max_step", overflow)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        dispatch(["max-step", "--r", "3", "--out", str(tmp_path)])
 
 
 def test_lemma_check_single_downset_file(tmp_path):
