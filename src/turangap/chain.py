@@ -74,8 +74,8 @@ _STEP_SLACK = 1e-6  # float slack of the r!/r^r step checks
 _KKT_BOUND = 1e-6  # largest first-order residual a rung may keep
 _MAX_DEPTH = 26  # levels of Bernstein subdivision; deeper, rounding keeps pieces alive
 _MAX_PIECES = 256  # live pieces per level, for maxima along a line or a face
-# the route of each rung; ROUTES[k] names the simplex of k = 2, 3, 4 twin classes
 ROUTES = ("empty", "closed-form", "segment", "triangle", "tetrahedron", "optimizer")
+_SIMPLICES = {2: "segment", 3: "triangle", 4: "tetrahedron"}  # Bernstein route by twin classes
 
 
 def _clique_value(r: int, t: int) -> Fraction:
@@ -121,7 +121,8 @@ class ChainLadder:
     holding the i-edge pattern.  ``routes[i]`` names the one route, from
     ROUTES, that gave rung i its value, point and KKT residual;
     ``exact_values[i]`` is the closed-form value, 0 at rung 0, None where
-    Bernstein or the optimizer ran."""
+    Bernstein or the optimizer ran, so it is None exactly where ``routes[i]``
+    is neither "empty" nor "closed-form"; a hand-built ladder keeps both so."""
 
     r: int
     m: int
@@ -291,7 +292,7 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
     argument raises before any rung is built.
     """
     edges = edge_enumeration(r, m, order, seed)
-    # one row per rung, in ChainLadder's field order
+    # one row per rung: value, exact value, point, KKT residual, route
     rows = [(0.0, Fraction(0), tuple([1.0 / m] * m), 0.0, "empty")]
     links: dict[int, set[tuple[int, ...]]] = {}  # covered vertex -> its link
     for k, edge in enumerate(edges, start=1):
@@ -304,12 +305,14 @@ def build_chain_ladder(r: int, m: int, order: str = "colex", seed: int = 0) -> C
         if len(classes := _twin_classes(links)) <= 4:
             point = _class_point(r, m, edges[:k], classes)
             rows.append((evaluate(pattern, point), None, point, kkt_residual(pattern, point),
-                         ROUTES[len(classes)]))
+                         _SIMPLICES[len(classes)]))
         else:
             res = maximize(pattern, seed, extra_starts=[rows[-1][2]])  # previous rung's point
             rows.append((res.value, None, tuple(res.point.tolist()), res.kkt_residual,
                          "optimizer"))
-    return ChainLadder(r, m, edges, *zip(*rows))
+    values, exact, points, kkts, routes = zip(*rows)
+    return ChainLadder(r=r, m=m, edges=edges, values=values, exact_values=exact,
+                       points=points, kkt_residuals=kkts, routes=routes)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .chain import ROUTES, build_chain_ladder, minimal_m, verify_gap_bound
+from .chain import build_chain_ladder, minimal_m, verify_gap_bound
 from .dominance import (
     bunching_verify,
     downset_to_dict,
@@ -139,7 +139,9 @@ def _handle_chain(args) -> Result:
     lad = build_chain_ladder(r, m, args.order, args.seed)
     gap = verify_gap_bound(lad)
     steps = (0.0,) + lad.steps
-    listed = ROUTES[1:5]  # closed-form and the three Bernstein simplices
+    # the routes whose rungs are counted and listed, each with its JSON key
+    listed = {"closed-form": "closed_form_rungs", "segment": "segment_rungs",
+              "triangle": "triangle_rungs", "tetrahedron": "tetrahedron_rungs"}
     rows = [
         [i, i, f"{lad.values[i]:.17g}", f"{steps[i]:.17g}", f"{lad.kkt_residuals[i]:.3e}"]
         for i in range(len(lad.values))
@@ -151,7 +153,7 @@ def _handle_chain(args) -> Result:
         "values": [float(v) for v in lad.values],
         "steps": [float(s) for s in steps],
         "kkt_residuals": [float(k) for k in lad.kkt_residuals],
-        **{f"{route.replace('-', '_')}_rungs": list(lad.rungs(route)) for route in listed},
+        **{key: list(lad.rungs(route)) for route, key in listed.items()},
         "max_step": lad.max_step,
         "max_step_index": lad.max_step_index,
         "gap_ok": not gap.step_violations,

@@ -55,8 +55,9 @@ def fabricated_ladder(*values: float, m: int = 8) -> ChainLadder:
     edges = edge_enumeration(3, m)[: len(values) - 1]
     exact = (Fraction(0),) + (None,) * (len(values) - 2) + (Fraction(values[-1]),)
     routes = ("empty",) + ("optimizer",) * (len(values) - 2) + ("closed-form",)
-    return ChainLadder(3, m, edges, values, exact,
-                       ((1 / m,) * m,) * len(values), (0.0,) * len(values), routes)
+    return ChainLadder(r=3, m=m, edges=edges, values=values, exact_values=exact,
+                       points=((1 / m,) * m,) * len(values),
+                       kkt_residuals=(0.0,) * len(values), routes=routes)
 
 
 def minimal_m_by_walk(r: int) -> int:
