@@ -24,7 +24,7 @@ from turangap import build_chain_ladder, minimal_m, verify_gap_bound
 lad = build_chain_ladder(3, 6, order="colex", seed=0)
 
 print(f"{comb(6, 3)} edges inserted, {len(lad.values)} ladder rungs")
-print(f"closed-form rungs: {len(lad.closed_form_rungs)} of {len(lad.edges)}")
+print(f"closed-form rungs: {len(lad.rungs('closed-form'))} of {len(lad.edges)}")
 for route in ("segment", "triangle", "tetrahedron", "optimizer"):
     print(f"{route} rungs: {lad.rungs(route)}")
 print()

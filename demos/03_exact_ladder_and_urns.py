@@ -12,9 +12,9 @@ from turangap import ladder, max_step, mc_verdict, monte_carlo_urns, occupancy_c
 
 for r in (2, 3, 4):
     print(f"ladder r={r}:")
-    for e in ladder(r):
+    for i, e in enumerate(ladder(r)):
         shape = e.composition if e.composition else "(start)"
-        print(f"  {e.index}  {str(shape):<18} value {str(e.value):<8} step {e.step}")
+        print(f"  {i}  {str(shape):<18} value {str(e.value):<8} step {e.step}")
     print()
 
 # the widest rung per r, exact

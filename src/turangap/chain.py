@@ -140,10 +140,6 @@ class ChainLadder:
         return tuple(i for i, x in enumerate(self.routes) if x == route)
 
     @property
-    def closed_form_rungs(self) -> tuple[int, ...]:
-        return self.rungs("closed-form")
-
-    @property
     def steps(self) -> tuple[float, ...]:
         return tuple(
             b - a for a, b in zip(self.values[:-1], self.values[1:])

@@ -183,24 +183,24 @@ def _handle_ladder(args) -> Result:
     entries = ladder(args.r)
     rows = []
     summary = [f"ladder r={args.r}: {len(entries) - 1} rungs"]
-    for e in entries:
+    for i, e in enumerate(entries):
         comp = "-".join(map(str, e.composition)) if e.composition else ""
         rows.append(
-            [e.index, comp, e.value.numerator, e.value.denominator,
+            [i, comp, e.value.numerator, e.value.denominator,
              e.step.numerator, e.step.denominator]
         )
-        summary.append(f"  {e.index:3d}  {comp or '(start)':<24} value {str(e.value):<12} "
+        summary.append(f"  {i:3d}  {comp or '(start)':<24} value {str(e.value):<12} "
                        f"step {e.step}")
     obj = {
         "r": args.r,
         "entries": [
             {
-                "index": e.index,
+                "index": i,
                 "composition": list(e.composition) if e.composition else None,
                 "value": _frac_str(e.value),
                 "step": _frac_str(e.step),
             }
-            for e in entries
+            for i, e in enumerate(entries)
         ],
     }
     table = (["index", "composition", "value_num", "value_den", "step_num", "step_den"], rows)

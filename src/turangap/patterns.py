@@ -247,10 +247,6 @@ class BlowupSpec:
         if any(s < 0 for s in self.part_sizes):
             raise ValueError("part sizes must be non-negative")
 
-    @property
-    def n(self) -> int:
-        return sum(self.part_sizes)
-
     def part_ranges(self) -> tuple[range, ...]:
         """Parts occupy consecutive 1-based vertex ranges in part order."""
         out = []

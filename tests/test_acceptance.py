@@ -151,11 +151,11 @@ def test_criterion_06_exact_ladders(capsys):
         rungs = ladder(r)
         counts = enumerated_occupancy_counts(r, r)
         prev = Fraction(0)
-        for entry in rungs[1:]:
+        for i, entry in enumerate(rungs[1:], start=1):
             if entry.step != Fraction(counts[entry.composition], r**r):
-                failures.append(f"r={r} rung {entry.index}: step mismatch")
+                failures.append(f"r={r} rung {i}: step mismatch")
             if entry.value != prev + entry.step:
-                failures.append(f"r={r} rung {entry.index}: telescoping broken")
+                failures.append(f"r={r} rung {i}: telescoping broken")
             prev = entry.value
         if prev != 1:
             failures.append(f"r={r}: ladder tops out at {prev}")

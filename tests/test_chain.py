@@ -291,7 +291,7 @@ def _qualifies(r: int, edges) -> bool:
 def test_closed_form_rungs_qualify_by_structure_and_match_the_optimizer(r, m, order, closed):
     lad = build_chain_ladder(r, m, order)
     want = tuple(i for i in range(1, len(lad.values)) if _qualifies(r, lad.edges[:i]))
-    assert lad.closed_form_rungs == want
+    assert lad.rungs("closed-form") == want
     assert len(want) == closed
     assert lad.exact_values[0] == 0
     for i in want:
@@ -395,7 +395,7 @@ def test_only_rungs_with_no_closed_form_build_a_pattern(monkeypatch):
     monkeypatch.setattr(chain_module, "simple_pattern",
                         lambda *args: calls.append(args) or simple_pattern(*args))
     lad = build_chain_ladder(3, 13)
-    assert len(calls) == 55 == len(lad.edges) - len(lad.closed_form_rungs)
+    assert len(calls) == 55 == len(lad.edges) - len(lad.rungs("closed-form"))
 
 
 def test_optimizer_rungs_keep_the_residual_maximize_returned(monkeypatch):

@@ -4,10 +4,12 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import turangap
 from turangap import DownSet, simple_pattern
 from turangap.cli import build_parser, dispatch
-from turangap.dominance import downset_to_dict
+from turangap.dominance import downset_to_dict, linear_extension
 from turangap.patterns import pattern_to_dict
 
 from oracles import fabricated_ladder
@@ -212,6 +214,56 @@ def test_every_chain_verdict_line_can_fail(tmp_path, capsys, monkeypatch, lad, f
             assert ": ok" in line and "VIOLATED" not in line and obj[name] is True
 
 
+@pytest.mark.parametrize("shift", [Fraction(1, 10**4), Fraction(-1, 10**4)],
+                         ids=["lower-side", "upper-side"])
+def test_lemma_check_fails_a_wrong_uniform_value(tmp_path, capsys, monkeypatch, shift):
+    # u moved up by 1e-4 leaves the optimizer below the window, moved down
+    # above it; each family's row and line read FAIL and the run exits 1
+    exact = turangap.exact_ladder.uniform_value_exact
+    monkeypatch.setattr("turangap.exact_ladder.uniform_value_exact", lambda a: exact(a) + shift)
+    code = dispatch(["lemma-check", "--r", "3", "--s", "2", "--all-downsets",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == 3 and all(line.startswith("  FAIL  uniform ") for line in lines)
+    rows = list(csv.DictReader(_artifacts(tmp_path, "lemma-check-")[0][0].open()))
+    assert [row["status"] for row in rows] == ["FAIL"] * 3
+
+
+def test_bunching_fails_a_nonzero_coefficient_sum(tmp_path, capsys, monkeypatch):
+    real = turangap.cli.bunching_verify
+    monkeypatch.setattr("turangap.cli.bunching_verify",
+                        lambda *args: replace(real(*args), zero_sum_ok=False))
+    code = dispatch(["bunching", "--r", "4", "--h", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "   zero sum: False   " in capsys.readouterr().out
+
+
+def test_blow_up_fails_an_edge_count_off_the_closed_form(tmp_path, pattern_file, capsys,
+                                                         monkeypatch):
+    real = turangap.cli.blowup_edge_count
+    monkeypatch.setattr("turangap.cli.blowup_edge_count", lambda spec: real(spec) + 1)
+    code = dispatch(["blow-up", "--pattern", pattern_file, "--sizes", "2,2,2",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.endswith(": 10 edges (closed form 11)\n")
+
+
+def test_ladder_fails_a_monte_carlo_table_off_the_occupancy_law(tmp_path, capsys,
+                                                                monkeypatch):
+    # every throw lands on one shape: the other shapes score far above the limit
+    def one_shape(r, trials, seed):
+        order = linear_extension(r)
+        return {comp: float(comp == order[0]) for comp in order}
+
+    monkeypatch.setattr("turangap.cli.monte_carlo_urns", one_shape)
+    code = dispatch(["ladder", "--r", "4", "--mc-trials", "1000", "--out", str(tmp_path)])
+    assert code == 1
+    worst, limit = re.fullmatch(r"worst n\*KL: ([\d.]+) \(limit ([\d.]+)\)",
+                                capsys.readouterr().out.splitlines()[-1]).groups()
+    assert float(worst) > float(limit)
+
+
 def test_chain_requires_m(tmp_path):
     assert dispatch(["chain", "--r", "3", "--out", str(tmp_path)]) == 2
 
@@ -350,6 +402,24 @@ def test_lemma_check_all_downsets(tmp_path, capsys):
     rows = list(csv.DictReader(primaries[0].open()))
     assert len(rows) == 3  # chain poset on {(2,1),(3,0)} plus empty family
     assert all(r["status"] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lemma_check_above_four_urns_reports_no_grid_bound(tmp_path, capsys, fmt):
+    # the grid bound runs for s <= 4 only; at s = 5 its cells stay empty
+    code = dispatch(["lemma-check", "--r", "3", "--s", "5", "--all-downsets",
+                     "--format", fmt, "--out", str(tmp_path)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "lemma-check r=3 s=5: 4 down-closed families"
+    assert len(lines) == 5 and all(line.startswith("  pass ") for line in lines[1:])
+    path = _artifacts(tmp_path, "lemma-check-")[0][0]
+    if fmt == "csv":
+        rows = list(csv.DictReader(path.open()))
+        assert [(row["grid_bound"], row["status"]) for row in rows] == [("", "pass")] * 4
+    else:
+        reports = json.loads(path.read_text())["reports"]
+        assert [(rep["grid_bound"], rep["passed"]) for rep in reports] == [(None, True)] * 4
 
 
 def test_lemma_check_prints_coarse_grid_warnings_without_source_paths(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from turangap import (
     DownSet,
+    iter_down_sets,
     ladder,
     max_step,
     mc_verdict,
@@ -109,11 +110,10 @@ def test_ladder_telescopes_and_steps_are_urn_probabilities(r):
     order = linear_extension(r)
     counts = enumerated_occupancy_counts(r, r)
     assert len(rungs) == len(order) + 1
-    assert rungs[0] == LadderEntry(0, None, Fraction(0), Fraction(0))
+    assert rungs[0] == LadderEntry(None, Fraction(0), Fraction(0))
     assert rungs[-1].value == 1
     prev = Fraction(0)
     for idx, entry in enumerate(rungs[1:], start=1):
-        assert entry.index == idx
         assert entry.composition == order[idx - 1]
         assert entry.step == Fraction(counts[entry.composition], r**r)
         assert entry.value == prev + entry.step
@@ -137,11 +137,11 @@ def test_r2_ladder_exact_values():
 
 def test_ladder_entry_validation():
     with pytest.raises(ValueError):
-        LadderEntry(0, None, Fraction(-1, 2), Fraction(0))
+        LadderEntry(None, Fraction(-1, 2), Fraction(0))
     with pytest.raises(ValueError):
-        LadderEntry(0, None, Fraction(1, 2), Fraction(-1, 9))
+        LadderEntry(None, Fraction(1, 2), Fraction(-1, 9))
     with pytest.raises(ValueError):
-        LadderEntry(0, None, Fraction(3, 2), Fraction(0))
+        LadderEntry(None, Fraction(3, 2), Fraction(0))
 
 
 def test_max_step_small_cases():
@@ -332,10 +332,27 @@ def test_verify_lemma_passes_on_small_family():
     report = verify_lemma(a)
     assert report.passed
     assert report.uniform_value == uniform_value_exact(a)
-    assert report.lower_ok and report.upper_ok
     assert report.grid_bound is not None
     assert report.opt_value <= float(report.uniform_value) + 1e-6
     assert report.opt_value >= float(report.uniform_value) - 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:grid resolution")
+def test_grid_bound_never_undercuts_the_optimizer_so_the_window_decides():
+    # the grid bound is an upper bound on the maximum, so it is never below
+    # the optimizer value: a bound below u would already fail the window's
+    # lower side, and the verdict is the window alone.  The empty families
+    # meet it with equality (both 0)
+    families = [a for r in range(2, 7) for s in range(1, 5) for a in iter_down_sets(r, s)]
+    assert len(families) == 88
+    gaps = []
+    for a in families:
+        rep = verify_lemma(a)
+        u = float(rep.uniform_value)
+        assert rep.passed == (u - 1e-9 <= rep.opt_value <= u + 1e-6), sorted(a.members)
+        assert rep.passed, sorted(a.members)
+        gaps.append(rep.grid_bound - rep.opt_value)
+    assert min(gaps) == 0.0
 
 
 def test_verify_lemma_empty_family():
