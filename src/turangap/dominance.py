@@ -205,27 +205,34 @@ class BunchingReport:
     Averaging the top h layers of binomial terms against the same layers of
     split monomials gives a polynomial identity whose grouped coefficients
     must be <= 0 inside the layer window and >= 0 outside, with total sum
-    exactly zero.  The sampled minimum is a spot check, not a proof.
+    exactly zero.  The three verdicts are read from the exact coefficients,
+    which are symmetric in j2, so the sign verdicts read j2 >= 0 against h2.
+    The sampled minimum is a spot check, not a proof.
     """
 
     r: int
     h2: int
     coefficients: tuple[tuple[int, Fraction], ...]  # (doubled index j2, coeff)
-    inside_ok: bool
-    outside_ok: bool
-    zero_sum_ok: bool
     sample_min: Fraction
     samples: int
     seed: int
 
     @property
+    def inside_ok(self) -> bool:
+        return all(c <= 0 for j2, c in self.coefficients if 0 <= j2 <= self.h2)
+
+    @property
+    def outside_ok(self) -> bool:
+        return all(c >= 0 for j2, c in self.coefficients if j2 > self.h2)
+
+    @property
+    def zero_sum_ok(self) -> bool:
+        return sum(c for _, c in self.coefficients) == 0
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.inside_ok
-            and self.outside_ok
-            and self.zero_sum_ok
-            and self.sample_min >= Fraction(-1, 10**10)
-        )
+        return (self.inside_ok and self.outside_ok and self.zero_sum_ok
+                and self.sample_min >= Fraction(-1, 10**10))
 
 
 def bunching_indices(r: int) -> tuple[int, ...]:
@@ -241,13 +248,13 @@ def bunching_verify(r: int, h, seed: int = 0) -> BunchingReport:
     With k = r/2 and translate set I_h = (Z + k) intersected with [-h, h],
     the inequality is sum over i in I_h of C(2k, k+i) (((x+y)/2)^(2k)
     - x^(k+i) y^(k-i)) >= 0 for x, y >= 0.  All indices are doubled
-    internally; coefficients are exact Fractions.  The _SAMPLES (1000)
-    sample points (px/1000, py/1000) are drawn from one random.Random(seed)
-    per call, px = int(5001 * random()) and then py, each uniform in
-    0..5000; at each, the left side times 2^r * 1000^r is the
-    integer L (px+py)^r - 2^r sum over the window of C(2k, k+i)
-    px^(k+i) py^(k-i), with L the window's binomial sum, so the sampled
-    minimum is exact.
+    internally; coefficients are exact Fractions, and the report reads its
+    sign and zero-sum verdicts from them.  The _SAMPLES (1000) sample points
+    (px/1000, py/1000) are drawn from one random.Random(seed) per call,
+    px = int(5001 * random()) and then py, each uniform in 0..5000; at each,
+    the left side times 2^r * 1000^r is the integer L (px+py)^r - 2^r sum
+    over the window of C(2k, k+i) px^(k+i) py^(k-i), with L the window's
+    binomial sum, so the sampled minimum is exact.
     """
     seed = _check_seed(seed)
     h2 = _doubled_index(h, "h")
@@ -261,19 +268,9 @@ def bunching_verify(r: int, h, seed: int = 0) -> BunchingReport:
     layer_sum = sum(comb(r, (r + i2) // 2) for i2 in window)
 
     coeffs: list[tuple[int, Fraction]] = []
-    inside_ok = True
-    outside_ok = True
-    total = Fraction(0)
     for j2 in all_j2:
-        c = Fraction(comb(r, (r + j2) // 2) * layer_sum, 2**r)
-        if j2 in window:
-            c -= comb(r, (r + j2) // 2)
-            if j2 >= 0 and c > 0:
-                inside_ok = False
-        elif j2 >= 0 and c < 0:
-            outside_ok = False
-        coeffs.append((j2, c))
-        total += c
+        b = comb(r, (r + j2) // 2)
+        coeffs.append((j2, Fraction(b * layer_sum, 2**r) - (b if j2 in window else 0)))
 
     # val * 2^r * 1000^r at x = px/1000, y = py/1000, an exact integer
     terms = [(comb(r, (r + i2) // 2), (r + i2) // 2) for i2 in window]
@@ -287,9 +284,6 @@ def bunching_verify(r: int, h, seed: int = 0) -> BunchingReport:
         r=r,
         h2=h2,
         coefficients=tuple(coeffs),
-        inside_ok=inside_ok,
-        outside_ok=outside_ok,
-        zero_sum_ok=(total == 0),
         sample_min=Fraction(scaled_min, 2**r * 1000**r),
         samples=_SAMPLES,
         seed=seed,

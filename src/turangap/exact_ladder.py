@@ -71,10 +71,15 @@ def occupancy_count(rr: Composition, s: int) -> int:
 
 
 class MCVerdict(NamedTuple):
-    ok: bool
+    """A Monte Carlo table's scores; ``ok`` is read from ``worst`` and ``limit``."""
+
     worst: float  # largest n*KL(f||p) over the shapes
     limit: float  # log(2K/alpha) for K shapes
     scores: dict[Composition, float]  # n*KL(f||p) of each shape
+
+    @property
+    def ok(self) -> bool:
+        return self.worst <= self.limit
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,8 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
     For each of the K shapes the Chernoff-Hoeffding bound (Hoeffding 1963)
     gives P(n*KL(F||p) >= t) <= 2*exp(-t) over both tails, so a union bound
     over the shapes makes a correct sampler exceed log(2K/alpha) with
-    probability at most _MC_ALPHA.  Each shape's n*KL score is kept.
+    probability at most _MC_ALPHA.  Each shape's n*KL score is kept, and
+    the verdict's ``ok`` is worst <= limit.
     Raises ValueError unless trials >= 1, the keys of freq are exactly
     the K = len(linear_extension(r)) shapes (a table missing shapes would
     shrink K and with it the limit), and every frequency lies in [0, 1]
@@ -204,7 +210,7 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
     scores = {c: trials * kl(f, occupancy_count(c, r) / r**r) for c, f in freq.items()}
     worst = max(scores.values())
     limit = log(2 * len(freq) / _MC_ALPHA)
-    return MCVerdict(worst <= limit, worst, limit, scores)
+    return MCVerdict(worst, limit, scores)
 
 
 @dataclass(frozen=True)

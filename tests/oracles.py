@@ -10,14 +10,16 @@ each vertex pair checks the twin classes of a chain rung, read from a link
 table built here from the rung's whole edge list.  Restriction of a
 down-set, the variable deletion behind the uniform-point lemma, is used only
 by tests that check down-closure survives it.  The complete pattern K_m,
-random patterns with repeated elements and chain ladders with given rung
-values are test fixtures.  The tuple-by-tuple simplex grid checks the numpy
-grid of `certify_max_upper`, and the Fraction sampling loop checks the
-integer-numerator minimum of `bunching_verify`.  The full-size batched ascent, with its own projection,
+random patterns with repeated elements, chain ladders with given rung
+values and bunching reports with moved coefficients are test fixtures.  The
+tuple-by-tuple simplex grid checks the numpy grid of `certify_max_upper`,
+and the Fraction sampling loop checks the integer-numerator minimum of
+`bunching_verify`.  The full-size batched ascent, with its own projection,
 checks `maximize` bit for bit.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -26,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from turangap.chain import ChainLadder, edge_enumeration
-from turangap.dominance import Composition, DownSet, compositions
+from turangap.dominance import BunchingReport, Composition, DownSet, compositions
 from turangap.patterns import Pattern, simple_pattern
 import turangap.simplex as sx
 
@@ -58,6 +60,12 @@ def fabricated_ladder(*values: float, m: int = 8) -> ChainLadder:
     return ChainLadder(r=3, m=m, edges=edges, values=values, exact_values=exact,
                        points=((1 / m,) * m,) * len(values),
                        kkt_residuals=(0.0,) * len(values), routes=routes)
+
+
+def bumped_bunching(rep: BunchingReport, step: Mapping[int, int]) -> BunchingReport:
+    """rep with the coefficient at each doubled index j2 in step moved by step[j2]."""
+    return replace(rep, coefficients=tuple((j2, c + step.get(j2, 0))
+                                           for j2, c in rep.coefficients))
 
 
 def minimal_m_by_walk(r: int) -> int:

@@ -20,7 +20,7 @@ from turangap.cli import build_parser, dispatch
 from turangap.dominance import downset_to_dict, linear_extension
 from turangap.patterns import pattern_to_dict
 
-from oracles import fabricated_ladder
+from oracles import bumped_bunching, fabricated_ladder
 
 WORKED = {"r": 3, "m": 3, "multisets": [[1, 1, 2], [1, 2, 3]]}
 
@@ -231,12 +231,15 @@ def test_lemma_check_fails_a_wrong_uniform_value(tmp_path, capsys, monkeypatch, 
 
 
 def test_bunching_fails_a_nonzero_coefficient_sum(tmp_path, capsys, monkeypatch):
+    # raising the outside j2 = -4 coefficient by 1 keeps every sign, breaks the sum
     real = turangap.cli.bunching_verify
     monkeypatch.setattr("turangap.cli.bunching_verify",
-                        lambda *args: replace(real(*args), zero_sum_ok=False))
+                        lambda *args: bumped_bunching(real(*args), {-4: 1}))
     code = dispatch(["bunching", "--r", "4", "--h", "1", "--out", str(tmp_path)])
     assert code == 1
-    assert "   zero sum: False   " in capsys.readouterr().out
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if "zero sum:" in ln)
+    assert "   zero sum: False   " in line
+    assert line.startswith("signs ok: True   "), line
 
 
 def test_blow_up_fails_an_edge_count_off_the_closed_form(tmp_path, pattern_file, capsys,

@@ -1,5 +1,6 @@
 """Compositions, dominance, down-closed families, and the bunching identity."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,7 @@ from turangap.dominance import (
     pattern_of,
 )
 
-from oracles import bunching_sample_min_fractions, insert_sorted, restrict
+from oracles import bumped_bunching, bunching_sample_min_fractions, insert_sorted, restrict
 
 
 def test_compositions_reverse_lex():
@@ -218,6 +219,26 @@ def test_bunching_worked_case_r2():
     assert coeffs[-2] == Fraction(1, 2)
     assert rep.zero_sum_ok and rep.inside_ok and rep.outside_ok
     assert rep.sample_min >= 0
+
+
+def test_each_bunching_verdict_fails_on_its_own_coefficient():
+    rep = bunching_verify(4, 1)
+    assert rep.h2 == 2
+    assert rep.coefficients == ((-4, Fraction(7, 8)), (-2, Fraction(-1, 2)),
+                                (0, Fraction(-3, 4)), (2, Fraction(-1, 2)),
+                                (4, Fraction(7, 8)))
+    assert rep.inside_ok and rep.outside_ok and rep.zero_sum_ok and rep.passed
+    verdicts = ("inside_ok", "outside_ok", "zero_sum_ok")
+    for bad, failed in (
+        (bumped_bunching(rep, {0: 1, -4: -1}), "inside_ok"),  # j2 = 0 reads 1/4 > 0
+        (bumped_bunching(rep, {4: -1, -4: 1}), "outside_ok"),  # j2 = 4 reads -1/8 < 0
+        (bumped_bunching(rep, {-4: 1}), "zero_sum_ok"),  # the sum reads 1
+    ):
+        assert {v: getattr(bad, v) for v in verdicts} == {v: v != failed for v in verdicts}
+        assert not bad.passed, failed
+    # the verdicts are read from the coefficients; none can be stored
+    with pytest.raises(TypeError):
+        replace(rep, zero_sum_ok=False)
 
 
 def test_bunching_full_window_vanishes():

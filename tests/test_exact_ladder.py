@@ -3,7 +3,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import factorial, log, sqrt
+from math import factorial, inf, log, nextafter, sqrt
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from turangap import (
     verify_lemma,
 )
 from turangap.dominance import linear_extension, pattern_of
-from turangap.exact_ladder import _MC_BLOCK, LadderEntry
+from turangap.exact_ladder import _MC_BLOCK, LadderEntry, MCVerdict
 
 from oracles import brute_occupancy_counts, enumerated_occupancy_counts, eval_uniform_exact
 
@@ -240,6 +240,13 @@ def test_monte_carlo_matches_exact_roughly():
     verdict = mc_verdict(monte_carlo_urns(3, trials=200_000, seed=0), 200_000, 3)
     assert verdict.ok, verdict
     assert verdict.limit == log(2 * 3 / 1e-6)
+
+
+def test_verdict_ok_is_read_from_worst_and_limit():
+    verdict = mc_verdict(monte_carlo_urns(3, trials=1000, seed=0), 1000, 3)
+    assert MCVerdict._fields == ("worst", "limit", "scores")
+    assert verdict._replace(worst=verdict.limit).ok
+    assert not verdict._replace(worst=nextafter(verdict.limit, inf)).ok
 
 
 def test_verdict_accepts_a_rare_shape_the_4_sigma_rule_rejected():
