@@ -71,11 +71,18 @@ def occupancy_count(rr: Composition, s: int) -> int:
 
 
 class MCVerdict(NamedTuple):
-    """A Monte Carlo table's scores; ``ok`` is read from ``worst`` and ``limit``."""
+    """A Monte Carlo table's scores; ``worst`` is the largest, ``limit`` is
+    log(2K/alpha) for K shapes, and ``ok`` is worst <= limit."""
 
-    worst: float  # largest n*KL(f||p) over the shapes
-    limit: float  # log(2K/alpha) for K shapes
     scores: dict[Composition, float]  # n*KL(f||p) of each shape
+
+    @property
+    def worst(self) -> float:
+        return max(self.scores.values())
+
+    @property
+    def limit(self) -> float:
+        return log(2 * len(self.scores) / _MC_ALPHA)
 
     @property
     def ok(self) -> bool:
@@ -84,17 +91,25 @@ class MCVerdict(NamedTuple):
 
 @dataclass(frozen=True)
 class LadderEntry:
-    """One rung of an exact ladder; rung i is entry i of ``ladder(r)``."""
+    """One rung of an exact ladder; rung i is entry i of ``ladder(r)``.  Its
+    ``step`` is its composition's occupancy probability, 0 for the empty rung."""
 
     composition: Composition | None  # None for the empty starting rung
     value: Fraction
-    step: Fraction
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 1:
             raise ValueError(f"ladder value {self.value} outside [0, 1]")
-        if self.step < 0:
-            raise ValueError(f"ladder step {self.step} is negative")
+        comp = self.composition
+        if comp is not None and sum(comp) != len(comp):
+            raise ValueError(f"ladder composition {comp} does not split r into r parts")
+
+    @property
+    def step(self) -> Fraction:
+        if self.composition is None:
+            return Fraction(0)
+        r = len(self.composition)
+        return Fraction(occupancy_count(self.composition, r), r**r)
 
 
 def ladder(r: int) -> tuple[LadderEntry, ...]:
@@ -105,12 +120,11 @@ def ladder(r: int) -> tuple[LadderEntry, ...]:
     """
     order = linear_extension(r)
     denom = r**r
-    entries = [LadderEntry(None, Fraction(0), Fraction(0))]
+    entries = [LadderEntry(None, Fraction(0))]
     acc = 0
     for comp in order:
-        w = occupancy_count(comp, r)
-        acc += w
-        entries.append(LadderEntry(comp, Fraction(acc, denom), Fraction(w, denom)))
+        acc += occupancy_count(comp, r)
+        entries.append(LadderEntry(comp, Fraction(acc, denom)))
     if entries[-1].value != 1:
         raise AssertionError("ladder must end at exactly 1")
     return tuple(entries)
@@ -190,8 +204,8 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
     For each of the K shapes the Chernoff-Hoeffding bound (Hoeffding 1963)
     gives P(n*KL(F||p) >= t) <= 2*exp(-t) over both tails, so a union bound
     over the shapes makes a correct sampler exceed log(2K/alpha) with
-    probability at most _MC_ALPHA.  Each shape's n*KL score is kept, and
-    the verdict's ``ok`` is worst <= limit.
+    probability at most _MC_ALPHA.  Each shape's n*KL score is kept; the
+    verdict's ``worst``, ``limit`` and ``ok`` are read from the scores.
     Raises ValueError unless trials >= 1, the keys of freq are exactly
     the K = len(linear_extension(r)) shapes (a table missing shapes would
     shrink K and with it the limit), and every frequency lies in [0, 1]
@@ -208,9 +222,7 @@ def mc_verdict(freq: dict[Composition, float], trials: int, r: int) -> MCVerdict
         return sum(a * log(a / b) for a, b in ((f, p), (1 - f, 1 - p)) if a > 0)
 
     scores = {c: trials * kl(f, occupancy_count(c, r) / r**r) for c, f in freq.items()}
-    worst = max(scores.values())
-    limit = log(2 * len(freq) / _MC_ALPHA)
-    return MCVerdict(worst, limit, scores)
+    return MCVerdict(scores)
 
 
 @dataclass(frozen=True)

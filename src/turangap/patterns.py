@@ -301,14 +301,18 @@ def largest_remainder_sizes(n: int, fractions: Sequence[float]) -> tuple[int, ..
 
 @dataclass(frozen=True)
 class DensityRow:
-    """One row of a blow-up density comparison table."""
+    """One row of a blow-up density comparison table; ``error`` is
+    |density - polynomial_value|."""
 
     n: int
     part_sizes: tuple[int, ...]
     edge_count: int
     density: Fraction
     polynomial_value: Fraction
-    error: Fraction
+
+    @property
+    def error(self) -> Fraction:
+        return abs(self.density - self.polynomial_value)
 
 
 def blowup_density_check(
@@ -335,5 +339,5 @@ def blowup_density_check(
         count = blowup_edge_count(BlowupSpec(p, sizes))
         density = Fraction(count, comb(n, p.r))
         value = evaluate_exact(p, [Fraction(s, n) for s in sizes])
-        rows.append(DensityRow(n, sizes, count, density, value, abs(density - value)))
+        rows.append(DensityRow(n, sizes, count, density, value))
     return rows

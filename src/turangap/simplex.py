@@ -5,8 +5,10 @@ The live starts ascend together as one compact array, but each runs its own
 backtracking search: a pass tries a window of step sizes for every start, and
 a start whose window has no acceptable step resumes below it in the next pass
 while the others take fresh gradient steps.  A first-order residual quantifies
-stationarity of the best point, and a simplex-grid sweep provides a rigorous
-upper bound in small dimension, so lower and upper routes can be cross-checked.
+stationarity of the best point.  In small dimension a simplex-grid sweep gives
+an upper bound on the maximum, exact in real arithmetic but evaluated in
+floats; it is coarse (up to 18.1 on the r = s = 4 down-set patterns, whose
+maxima are at most 1), so callers report it and gate nothing on it.
 Each maximize draws its random starts from its own random.Random(seed);
 no draw is cached or shared between calls.
 """
@@ -86,11 +88,14 @@ class OptResult:
     value: float
     point: np.ndarray
     kkt_residual: float
-    starts_used: int
     seed: int
     start_index: int
     start_kind: str
     iterations: tuple[int, ...]
+
+    @property
+    def starts_used(self) -> int:
+        return len(self.iterations)
 
 
 def _check_seed(seed) -> int:
@@ -145,8 +150,9 @@ def maximize(
     cleaned: coordinates below SUPPORT_EPS are zeroed and the rest
     re-projected inside that support face.  Each pass, every live start
     tries a window of _WINDOW (3) step sizes eta, eta/2, eta/4 from its own
-    state; a start with no hit keeps its point and gradient and resumes at
-    eta/8 in the next pass, while the others go on, so gradient runs only on
+    state; a start with no hit keeps its point and gradient and resumes in
+    the next pass at eta/2**_WINDOW (eta/8), the step size a one-at-a-time
+    search would try next, while the others go on, so gradient runs only on
     starts that just stepped.  Live rows stay compact, each stopped one
     written back once; gradient and evaluate get a full-size loop's batches
     row for row (BLAS rounding follows shape).
@@ -184,8 +190,8 @@ def maximize(
         hit = stop.ravel()[pick]
         took = hit & (moved.ravel()[pick] >= _TOLERANCE)
         # a taken step size doubles; with no hit, pick is the row's eta, and
-        # it resumes at eta/8
-        eta = np.minimum(etas.ravel()[pick] * np.where(took, 2.0, 0.125), 1e6)
+        # it resumes just below its window
+        eta = np.minimum(etas.ravel()[pick] * np.where(took, 2.0, 0.5**_WINDOW), 1e6)
         x[took], f[took] = y[pick[took]], fy.ravel()[pick[took]]
         fresh = took & (steps < _MAX_ITERATIONS)  # rows that take a new gradient
         if fresh.all():  # no gathers while every row steps
@@ -210,7 +216,6 @@ def maximize(
         value=float(f[best]),
         point=x[best],
         kkt_residual=kkt_residual(p, x[best]),
-        starts_used=len(x),
         seed=seed,
         start_index=best,
         start_kind=kinds[best],
@@ -247,7 +252,8 @@ def _grid_points(resolution: int, m: int) -> Iterable[np.ndarray]:
 
 
 def certify_max_upper(p: Pattern, resolution: int) -> float:
-    """Rigorous upper bound on the simplex maximum via a grid sweep.
+    """Upper bound on the simplex maximum via a grid sweep: an upper bound in
+    exact arithmetic, here evaluated in floats.
 
     On the simplex every partial derivative is non-negative and they sum to
     at most r * coefficient_sum =: L: a monomial yields r derivative terms

@@ -305,7 +305,6 @@ def full_size_maximize(p: Pattern, seed: int, extra_starts=()) -> sx.OptResult:
         value=float(f[best]),
         point=x[best],
         kkt_residual=sx.kkt_residual(p, x[best]),
-        starts_used=len(x),
         seed=seed,
         start_index=best,
         start_kind=kinds[best],

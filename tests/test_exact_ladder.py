@@ -110,7 +110,7 @@ def test_ladder_telescopes_and_steps_are_urn_probabilities(r):
     order = linear_extension(r)
     counts = enumerated_occupancy_counts(r, r)
     assert len(rungs) == len(order) + 1
-    assert rungs[0] == LadderEntry(None, Fraction(0), Fraction(0))
+    assert rungs[0] == LadderEntry(None, Fraction(0)) and rungs[0].step == 0
     assert rungs[-1].value == 1
     prev = Fraction(0)
     for idx, entry in enumerate(rungs[1:], start=1):
@@ -137,11 +137,22 @@ def test_r2_ladder_exact_values():
 
 def test_ladder_entry_validation():
     with pytest.raises(ValueError):
-        LadderEntry(None, Fraction(-1, 2), Fraction(0))
+        LadderEntry(None, Fraction(-1))
     with pytest.raises(ValueError):
-        LadderEntry(None, Fraction(1, 2), Fraction(-1, 9))
-    with pytest.raises(ValueError):
-        LadderEntry(None, Fraction(3, 2), Fraction(0))
+        LadderEntry(None, Fraction(3, 2))
+    # the step is read as r balls in r = len(composition) urns
+    for bad in ((3,), (2, 0, 0, 0)):
+        with pytest.raises(ValueError, match="does not split r into r parts"):
+            LadderEntry(bad, Fraction(1, 2))
+
+
+def test_ladder_step_is_read_from_the_composition():
+    # a rung's step is its composition's occupancy probability, so no entry
+    # can hold a step that its composition contradicts
+    assert LadderEntry((2, 1, 0), Fraction(8, 9)).step == Fraction(2, 3)
+    assert LadderEntry((1, 1), Fraction(1, 2)).step == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        LadderEntry((2, 1, 0), Fraction(1, 2), step=Fraction(1, 9))
 
 
 def test_max_step_small_cases():
@@ -244,9 +255,19 @@ def test_monte_carlo_matches_exact_roughly():
 
 def test_verdict_ok_is_read_from_worst_and_limit():
     verdict = mc_verdict(monte_carlo_urns(3, trials=1000, seed=0), 1000, 3)
-    assert MCVerdict._fields == ("worst", "limit", "scores")
-    assert verdict._replace(worst=verdict.limit).ok
-    assert not verdict._replace(worst=nextafter(verdict.limit, inf)).ok
+    assert MCVerdict._fields == ("scores",)
+    assert verdict.worst == max(verdict.scores.values())
+    assert verdict.limit == log(2 * len(verdict.scores) / 1e-6)
+    # the largest score, not a stored worst, decides: at the limit it passes,
+    # one ulp above it fails
+    at_limit = MCVerdict(verdict.scores | {(3, 0, 0): verdict.limit})
+    assert at_limit.worst == at_limit.limit and at_limit.ok
+    above = MCVerdict(verdict.scores | {(3, 0, 0): nextafter(verdict.limit, inf)})
+    assert not above.ok
+    with pytest.raises(TypeError):
+        MCVerdict(verdict.scores, worst=0.0)
+    with pytest.raises(TypeError):
+        MCVerdict(worst=0.0, limit=17.0, scores={(2, 1, 0): 1e6})
 
 
 def test_verdict_accepts_a_rare_shape_the_4_sigma_rule_rejected():

@@ -1,6 +1,7 @@
 """Pattern construction, polynomials, profiles, and blow-ups."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, isclose, prod
@@ -259,6 +260,9 @@ def test_density_check_worked_values():
     assert rows[0].edge_count == 27
     assert rows[0].density == Fraction(27, comb(9, 3))
     assert rows[0].error == Fraction(25, 252)
+    assert all(row.error == abs(row.density - row.polynomial_value) for row in rows)
+    with pytest.raises(TypeError):
+        replace(rows[0], error=Fraction(0))
     # first-order decay: doubling n roughly halves the error
     ratio = rows[1].error / rows[2].error
     assert Fraction(18, 10) < ratio < Fraction(23, 10)

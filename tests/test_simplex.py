@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, log
 
@@ -475,11 +476,14 @@ def _row_evaluate(p, x):
     return float(values) if xv.ndim == 1 else values
 
 
-def test_maximize_follows_each_start_like_the_oracle(monkeypatch):
+@pytest.mark.parametrize("window", (1, 2, 3))
+def test_maximize_follows_each_start_like_the_oracle(monkeypatch, window):
     # the library sums gradient and value terms with BLAS, whose rounding
     # depends on the batch size; with row-wise sums every batched row must
     # take exactly the oracle's steps, stop where it stops and clean up the
-    # same way
+    # same way.  The oracle tries one step size at a time, so whatever the
+    # window, a start whose window missed must resume where the oracle goes on
+    monkeypatch.setattr(sx, "_WINDOW", window)
     monkeypatch.setattr(sx, "gradient", _row_gradient)
     monkeypatch.setattr(sx, "evaluate", _row_evaluate)
     for p, seed, budget, extra in _oracle_cases():
@@ -636,7 +640,9 @@ def test_opt_result_reports_winning_start():
         res = maximize(p, 5)
     kinds = ["uniform"] + ["vertex"] * 4 + ["random"] * 3
     assert res.start_kind == kinds[res.start_index]
-    assert len(res.iterations) == 8 and min(res.iterations) >= 1
+    assert len(res.iterations) == res.starts_used == 8 and min(res.iterations) >= 1
+    with pytest.raises(TypeError):
+        replace(res, starts_used=9)
     assert res.iterations[1] == 1  # a vertex is a projection fixed point
     # one step from the uniform point of x^3 does not reach the vertex
     cube = Pattern.from_element_lists(3, 3, [(1, 1, 1)])
