@@ -239,23 +239,32 @@ def _bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
     coefficients beta, ordered as ``_subdivision(r, k)``'s multi-indices,
     by the module docstring's branch and bound from the simplex's corners.
     One product splits all live pieces of a level; past _MAX_PIECES, those
-    with the largest bounds are kept."""
+    with the largest bounds are kept.  Each level records which pieces it
+    split, and only the winning piece's vertices are rebuilt, by walking
+    those records back to the simplex."""
     _, corners, children, split = _subdivision(r, k)
-    pieces, vertices = beta[None], np.eye(k)[None]
-    best, arg = beta[corners].max(), vertices[0, beta[corners].argmax()]
+    pieces, splits = beta[None], []  # splits[l]: the level-l pieces split at level l + 1
+    best, depth, won = beta[corners].max(), 0, beta[corners].argmax()  # won: flat index in values
     for _ in range(_MAX_DEPTH):
         bounds = pieces.max(axis=1)
-        live = bounds > best * (1 + 4e-16)
-        if not live.any():
+        live = (bounds > best * (1 + 4e-16)).nonzero()[0]
+        if not len(live):
             break
-        if live.sum() > _MAX_PIECES:
+        if len(live) > _MAX_PIECES:
             live = np.argsort(-bounds, kind="stable")[:_MAX_PIECES]
+        splits.append(live)
         pieces = (pieces[live] @ split).reshape(-1, len(beta))
-        vertices = (children @ vertices[live, None]).reshape(-1, k, k)
         values = pieces[:, corners]
-        if values.max() > best:
-            best, arg = values.max(), vertices.reshape(-1, k)[values.argmax()]
-    return arg
+        if (top := values.max()) > best:
+            best, depth, won = top, len(splits), values.argmax()
+    piece, path = won // k, []  # the winner's piece at level depth, then its child indices
+    for live in reversed(splits[:depth]):
+        path.append(piece % len(children))
+        piece = live[piece // len(children)]
+    vertices = np.eye(k)
+    for child in reversed(path):
+        vertices = children[child] @ vertices
+    return vertices[won % k]
 
 
 def _class_point(
@@ -266,7 +275,12 @@ def _class_point(
     Bernstein polynomial on the simplex of class weights."""
     k = len(classes)
     label = {v: c for c, cls in enumerate(classes) for v in cls}
-    profiles = Counter(tuple(sum(label[v] == c for v in e) for c in range(k)) for e in edges)
+    profiles: Counter[tuple[int, ...]] = Counter()
+    for e in edges:
+        profile = [0] * k
+        for v in e:
+            profile[label[v]] += 1
+        profiles[tuple(profile)] += 1
     beta = np.array([profiles[a] * prod(map(factorial, a))
                      / prod(len(cls)**j for cls, j in zip(classes, a))
                      for a in _subdivision(r, k)[0]])

@@ -58,6 +58,8 @@ from .patterns import (
 )
 from .simplex import _check_seed, certificate, maximize
 
+_MAX_BLOWUP_EDGES = 10**7  # largest blow-up written out; each edge is a tuple and a text line
+
 
 @dataclass(frozen=True)
 class Result:
@@ -313,8 +315,10 @@ def _handle_bunching(args) -> Result:
 def _handle_blow_up(args) -> Result:
     pattern = load_pattern(args.pattern)
     spec = BlowupSpec(pattern, args.sizes)
+    expected = blowup_edge_count(spec)  # exact, so the size is checked before any edge is built
+    if expected > _MAX_BLOWUP_EDGES:
+        raise ValueError(f"the blow-up has {expected} edges, more than {_MAX_BLOWUP_EDGES}")
     edges = blow_up(spec)
-    expected = blowup_edge_count(spec)
     obj = {"part_sizes": list(args.sizes), "edge_count": len(edges),
            "edges": [list(e) for e in edges]}
     text = "".join(" ".join(map(str, e)) + "\n" for e in edges)

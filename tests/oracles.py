@@ -15,7 +15,9 @@ values and bunching reports with moved coefficients are test fixtures.  The
 tuple-by-tuple simplex grid checks the numpy grid of `certify_max_upper`,
 and the Fraction sampling loop checks the integer-numerator minimum of
 `bunching_verify`.  The full-size batched ascent, with its own projection,
-checks `maximize` bit for bit.
+checks `maximize` bit for bit.  The branch and bound that carries every
+live piece's vertices through every level checks, bit for bit, the one that
+rebuilds only the winner's vertices from its recorded splits.
 """
 
 import random
@@ -27,6 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+import turangap.chain as ch
 from turangap.chain import ChainLadder, edge_enumeration
 from turangap.dominance import BunchingReport, Composition, DownSet, compositions
 from turangap.patterns import Pattern, simple_pattern
@@ -310,3 +313,26 @@ def full_size_maximize(p: Pattern, seed: int, extra_starts=()) -> sx.OptResult:
         start_kind=kinds[best],
         iterations=tuple(iterations.tolist()),
     )
+
+
+def eager_bernstein_argmax(r: int, k: int, beta: np.ndarray) -> np.ndarray:
+    """`chain._bernstein_argmax` with every live piece's vertices rebuilt at
+    every level: the same pieces, cap order, tie-break and threshold, so
+    the same point bit for bit.  It reads the depth and piece cap from the
+    chain module, as the library does."""
+    _, corners, children, split = ch._subdivision(r, k)
+    pieces, vertices = beta[None], np.eye(k)[None]
+    best, arg = beta[corners].max(), vertices[0, beta[corners].argmax()]
+    for _ in range(ch._MAX_DEPTH):
+        bounds = pieces.max(axis=1)
+        live = bounds > best * (1 + 4e-16)
+        if not live.any():
+            break
+        if live.sum() > ch._MAX_PIECES:
+            live = np.argsort(-bounds, kind="stable")[:ch._MAX_PIECES]
+        pieces = (pieces[live] @ split).reshape(-1, len(beta))
+        vertices = (children @ vertices[live, None]).reshape(-1, k, k)
+        values = pieces[:, corners]
+        if values.max() > best:
+            best, arg = values.max(), vertices.reshape(-1, k)[values.argmax()]
+    return arg

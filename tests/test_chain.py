@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from turangap.patterns import simple_pattern
 import turangap.simplex as sx
 from turangap.simplex import kkt_residual, maximize
 
-from oracles import (fabricated_ladder, link_table, max_value_gap, minimal_m_by_walk,
-                     swap_twin_classes)
+from oracles import (eager_bernstein_argmax, fabricated_ladder, link_table, max_value_gap,
+                     minimal_m_by_walk, swap_twin_classes)
 
 
 def test_minimal_m_r3_is_13():
@@ -389,6 +390,16 @@ def test_routes_record_one_route_per_rung():
         lad.rungs("bernstein")
 
 
+def test_route_counts_of_colex_r5_m11(monkeypatch):
+    # routes are read from the link table alone, so a stub optimizer that
+    # returns the warm start leaves every route decision as it is
+    monkeypatch.setattr(chain_module, "maximize", lambda p, seed, extra_starts: SimpleNamespace(
+        value=0.0, point=np.array(extra_starts[0]), kkt_residual=0.0))
+    lad = build_chain_ladder(5, 11)
+    assert Counter(lad.routes) == {"empty": 1, "closed-form": 259, "segment": 18,
+                                   "triangle": 45, "tetrahedron": 45, "optimizer": 95}
+
+
 def test_only_rungs_with_no_closed_form_build_a_pattern(monkeypatch):
     # colex r=3 m=13: 231 of the 286 rungs are closed-form and build none
     calls = []
@@ -526,3 +537,43 @@ def test_bernstein_argmax_on_a_line_of_maxima_stays_under_the_piece_cap(monkeypa
     # off the dyadic grid, the pieces along the line stay alive up to the cap
     if line == 1 / 3:
         assert max(_CountedSplit.rows) == chain_module._MAX_PIECES
+
+
+@given(st.integers(2, 5), st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bernstein_argmax_rebuilds_the_vertices_the_eager_descent_carries(r, k, ties, seed):
+    # coefficients in thirds tie often, so maxima along lines and faces keep
+    # many pieces alive and the first-maximum tie-break decides the winner
+    rng = np.random.default_rng(seed)
+    n = len(_subdivision(r, k)[0])
+    beta = rng.integers(0, 4, n) / 3 if ties else rng.random(n)
+    assert np.array_equal(_bernstein_argmax(r, k, beta), eager_bernstein_argmax(r, k, beta))
+
+
+def test_bernstein_argmax_walks_back_through_pieces_kept_by_the_cap(monkeypatch):
+    # y1 (y2 + y3)^2 peaks along y1 = 1/3; two pieces per level keep those
+    # with the largest bounds, in bound order, not in piece order
+    monomials = {(1, 2, 0): 1, (1, 1, 1): 2, (1, 0, 2): 1}
+    alphas, corners, children, split = _subdivision(3, 3)
+    monkeypatch.setattr(chain_module, "_subdivision",
+                        lambda *_: (alphas, corners, children, split.view(_CountedSplit)))
+    monkeypatch.setattr(chain_module, "_MAX_PIECES", 2)
+    _CountedSplit.rows = []
+    beta = _bernstein(3, 3, monomials)
+    y = _bernstein_argmax(3, 3, beta)
+    assert max(_CountedSplit.rows) == 2 and len(_CountedSplit.rows) > 10
+    assert np.array_equal(y, eager_bernstein_argmax(3, 3, beta))
+    assert abs(_value(monomials, y) - 4 / 27) <= 1e-15
+
+
+@pytest.mark.parametrize("r,m,order,seed", [
+    (3, 7, "colex", 0), (4, 6, "colex", 0), (5, 8, "colex", 0), (3, 13, "colex", 0),
+    (3, 7, "lex", 0), (4, 6, "lex", 0), (3, 7, "random", 0), (3, 7, "random", 7)])
+def test_every_bernstein_rung_matches_the_eager_descent(monkeypatch, r, m, order, seed):
+    calls = []
+    monkeypatch.setattr(chain_module, "_bernstein_argmax",
+                        lambda *args: calls.append(args) or _bernstein_argmax(*args))
+    lad = build_chain_ladder(r, m, order, seed)
+    assert len(calls) == sum(len(lad.rungs(route))
+                             for route in ("segment", "triangle", "tetrahedron")) > 0
+    for args in calls:
+        assert np.array_equal(_bernstein_argmax(*args), eager_bernstein_argmax(*args))

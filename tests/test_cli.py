@@ -371,6 +371,20 @@ def test_ladder_monte_carlo_flag(tmp_path, capsys):
     assert "worst n*KL" in out and "(limit 15.61)" in out
 
 
+@pytest.mark.parametrize("argv,marker", [
+    (["ladder", "--r", "4", "--mc-trials", "2000"], "empirical "),
+    (["bunching", "--r", "4", "--h", "1"], "sampled min: ")])
+def test_another_seed_draws_another_sample(tmp_path, capsys, argv, marker):
+    seen = []
+    for seed in ("0", "1"):
+        assert dispatch(argv + ["--seed", seed, "--out", str(tmp_path)]) == 0
+        lines = [ln[ln.index(marker):] for ln in capsys.readouterr().out.splitlines()
+                 if marker in ln]
+        assert lines
+        seen.append(lines)
+    assert seen[0] != seen[1]
+
+
 def test_ladder_monte_carlo_rare_shape_is_no_false_alarm(tmp_path, capsys):
     # 8-0-...-0 comes up 4 times where 0.48 are expected (5.1 standard
     # errors); the per-shape 4-sigma rule failed this correct sample, and
@@ -520,6 +534,31 @@ def test_blow_up_txt_wire_format(tmp_path, pattern_file, capsys):
     assert lines[0] == "1 2 3"
     for line in lines:
         assert len(line.split()) == 3
+
+
+@pytest.mark.parametrize("cap,code", [(10, 0), (9, 2)])
+def test_blow_up_size_is_checked_before_any_edge_is_built(tmp_path, pattern_file, capsys,
+                                                          monkeypatch, cap, code):
+    # sizes 2,2,2 give exactly 10 edges: at the cap they are built, one below it none are
+    real, calls = turangap.cli.blow_up, []
+    monkeypatch.setattr("turangap.cli._MAX_BLOWUP_EDGES", cap)
+    monkeypatch.setattr("turangap.cli.blow_up", lambda spec: calls.append(spec) or real(spec))
+    assert dispatch(["blow-up", "--pattern", pattern_file, "--sizes", "2,2,2",
+                     "--out", str(tmp_path)]) == code
+    assert len(calls) == (code == 0)
+    if code:
+        assert capsys.readouterr().err == "turangap blow-up: the blow-up has 10 edges, more than 9\n"
+        assert not list(tmp_path.glob("blow-up-*"))
+
+
+def test_blow_up_above_ten_million_edges_is_usage_error(tmp_path, pattern_file, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr("turangap.cli.blow_up", lambda spec: pytest.fail("blow_up ran"))
+    # C(1000, 2) 1000 + 1000^3 edges
+    assert dispatch(["blow-up", "--pattern", pattern_file, "--sizes", "1000,1000,1000",
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "turangap blow-up: the blow-up has 1499500000 edges, more than 10000000\n")
 
 
 def test_blow_up_bad_sizes_is_usage_error(tmp_path, pattern_file, capsys):
