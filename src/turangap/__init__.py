@@ -2,65 +2,33 @@
 for collections of r-multisets.
 
 The package namespace holds the names the README tour and the demos use;
-everything else is imported from its submodule."""
+everything else is imported from its submodule.  Each name imports its
+submodule on first use (PEP 562), so ``import turangap`` alone loads no
+numpy."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .patterns import (
-    BlowupSpec,
-    Pattern,
-    blow_up,
-    blowup_density_check,
-    blowup_edge_count,
-    evaluate,
-    evaluate_exact,
-    simple_pattern,
-)
-from .simplex import certificate, maximize
-from .dominance import (
-    DownSet,
-    bunching_indices,
-    bunching_verify,
-    compositions,
-    dominates,
-    iter_down_sets,
-)
-from .exact_ladder import (
-    ladder,
-    max_step,
-    mc_verdict,
-    monte_carlo_urns,
-    occupancy_count,
-    uniform_value_exact,
-    verify_lemma,
-)
-from .chain import build_chain_ladder, minimal_m, verify_gap_bound
+_HOME_OF = {name: module for module, names in (  # each package name -> its submodule
+    ("patterns", "BlowupSpec Pattern blow_up blowup_density_check blowup_edge_count "
+                 "evaluate evaluate_exact simple_pattern"),
+    ("simplex", "certificate maximize"),
+    ("dominance", "DownSet bunching_indices bunching_verify compositions dominates "
+                  "iter_down_sets"),
+    ("exact_ladder", "ladder max_step mc_verdict monte_carlo_urns occupancy_count "
+                     "uniform_value_exact verify_lemma"),
+    ("chain", "build_chain_ladder minimal_m verify_gap_bound"),
+) for name in names.split()}
 
-__all__ = [
-    "BlowupSpec",
-    "DownSet",
-    "Pattern",
-    "blow_up",
-    "blowup_density_check",
-    "blowup_edge_count",
-    "build_chain_ladder",
-    "bunching_indices",
-    "bunching_verify",
-    "certificate",
-    "compositions",
-    "dominates",
-    "evaluate",
-    "evaluate_exact",
-    "iter_down_sets",
-    "ladder",
-    "max_step",
-    "maximize",
-    "mc_verdict",
-    "minimal_m",
-    "monte_carlo_urns",
-    "occupancy_count",
-    "simple_pattern",
-    "uniform_value_exact",
-    "verify_gap_bound",
-    "verify_lemma",
-]
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

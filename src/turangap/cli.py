@@ -8,6 +8,7 @@ normalize each flag; artifact names are content-addressed from the parsed
 flags, an input file standing in by its normalized content rather than its
 path, so identical invocations rewrite byte-identical primary outputs.
 The manifest wall time (Monte Carlo included) is informational only.
+numpy's OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 Stdout holds only the summary; the artifact path goes to stderr, and so
 does each warning a command raises, as ``turangap <command>: warning: <message>``.
 
@@ -32,8 +33,13 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from . import __version__
+# read when numpy loads; a second OpenBLAS thread only spins on these small products
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__  # noqa: E402  (the imports below load numpy)
 from .chain import build_chain_ladder, minimal_m, verify_gap_bound
 from .dominance import (
     bunching_verify,
@@ -59,6 +65,11 @@ from .patterns import (
 from .simplex import _check_seed, certificate, maximize
 
 _MAX_BLOWUP_EDGES = 10**7  # largest blow-up written out; each edge is a tuple and a text line
+# sizes timed on two cores; a rung's cost also grows with r, so chain --r 9 --m 13
+# (715 edges) runs over five minutes while --r 6 --m 12 (924) takes 55 s
+_MAX_CHAIN_EDGES = 1000  # C(m, r) rungs
+_MAX_LADDER_PARTITIONS = 4 * 10**5  # p(r) rungs; r = 48 (147273) took 22 s, r = 54 has 386155
+_MAX_LEMMA_COMPOSITIONS = 22  # the dominance order whose down-sets are audited; (8, 8) took 74 s
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,23 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _check_size(counts, limit: int, what: str) -> None:
+    """Raise at the first of ``counts``, rising to the input's size, above ``limit``."""
+    if any(count > limit for count in counts):
+        raise ValueError(f"{what} number more than {limit}")
+
+
+def _partition_counts(r: int, s: int):
+    """The partitions of n into at most s parts, for n = 0, ..., r in turn."""
+    rows: list[list[int]] = []  # rows[n][k]: those of n into at most k <= min(n, s) parts
+    for n in range(r + 1 if s > 1 else 1):  # one partition of every n into one part
+        row = [int(n == 0)]
+        for k in range(1, min(n, s) + 1):  # at most k - 1 parts, or exactly k: one off each
+            row.append(row[-1] + rows[n - k][min(k, n - k)])
+        rows.append(row)
+        yield row[-1]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -138,6 +166,8 @@ def _handle_lagrangian(args) -> Result:
 
 def _handle_chain(args) -> Result:
     r, m = args.r, args.m
+    _check_size((comb(m, i) for i in range(min(r, m - r) + 1)), _MAX_CHAIN_EDGES,
+                f"the {r}-sets on {m} vertices")
     lad = build_chain_ladder(r, m, args.order, args.seed)
     gap = verify_gap_bound(lad)
     steps = (0.0,) + lad.steps
@@ -180,6 +210,8 @@ def _handle_chain(args) -> Result:
 
 
 def _handle_ladder(args) -> Result:
+    _check_size(_partition_counts(args.r, args.r), _MAX_LADDER_PARTITIONS,
+                f"the partitions of r={args.r}")
     # Monte Carlo first: it rejects a bad trial count before the ladder is built
     freq = monte_carlo_urns(args.r, args.mc_trials, args.seed) if args.mc_trials else None
     entries = ladder(args.r)
@@ -219,12 +251,12 @@ def _handle_ladder(args) -> Result:
 
 
 def _handle_max_step(args) -> Result:
+    _check_size(_partition_counts(args.r, args.r), _MAX_LADDER_PARTITIONS,
+                f"the partitions of r={args.r}")
     step, comp = max_step(args.r)
     obj = {"r": args.r, "step": _frac_str(step), "composition": list(comp)}
-    table = (
-        ["r", "step_num", "step_den", "composition"],
-        [[args.r, step.numerator, step.denominator, "-".join(map(str, comp))]],
-    )
+    table = (["r", "step_num", "step_den", "composition"],
+             [[args.r, step.numerator, step.denominator, "-".join(map(str, comp))]])
     summary = [f"largest ladder step for r={args.r}: {step} "
                f"(= {float(step):.9f}) at composition {comp}"]
     return Result(obj, table, summary)
@@ -240,6 +272,8 @@ def _handle_lemma_check(args) -> Result:
         sets = [down]
         inputs = {"downset": downset_to_dict(down)}
     else:
+        _check_size(_partition_counts(args.r, args.s), _MAX_LEMMA_COMPOSITIONS,
+                    f"the compositions of r={args.r} into at most s={args.s} parts")
         sets = list(iter_down_sets(args.r, args.s))
         inputs = {}
     reports = [verify_lemma(a, args.seed) for a in sets]
@@ -277,11 +311,8 @@ def _handle_lemma_check(args) -> Result:
             for rep in reports
         ],
     }
-    table = (
-        ["members", "uniform_num", "uniform_den", "opt_value", "kkt_residual",
-         "grid_bound", "status"],
-        rows,
-    )
+    table = (["members", "uniform_num", "uniform_den", "opt_value", "kkt_residual",
+              "grid_bound", "status"], rows)
     return Result(obj, table, summary, all(rep.passed for rep in reports), inputs=inputs)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import turangap
-from turangap import DownSet, simple_pattern
+from turangap import DownSet, compositions, simple_pattern
 from turangap.cli import build_parser, dispatch
 from turangap.dominance import downset_to_dict, linear_extension
 from turangap.patterns import pattern_to_dict
@@ -759,19 +759,29 @@ def test_exact_artifacts_are_pinned(tmp_path, argv, fmt):
     assert json.loads(manifests[0].read_text())["outputs"] == [name]
 
 
+def _fresh_interpreter(tmp_path, script, blas_threads=None):
+    """Run script in one fresh interpreter on this source tree, with
+    OPENBLAS_NUM_THREADS set to blas_threads or unset, and return the last
+    line it printed."""
+    src = str(Path(turangap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
 def _loads_numpy_random(tmp_path, *argvs):
     """Run each argv through dispatch in a fresh interpreter, each exiting 0,
     and say whether that imported numpy.random."""
     script = ("import sys\nfrom turangap.cli import dispatch\n"
               f"assert [dispatch(a) for a in {argvs!r}] == [0] * {len(argvs)}\n"
               "print('numpy.random' in sys.modules)")
-    src = str(Path(turangap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1] == "True"
+    return _fresh_interpreter(tmp_path, script) == "True"
 
 
 def test_only_monte_carlo_loads_numpy_random(tmp_path, pattern_file):
@@ -784,3 +794,109 @@ def test_only_monte_carlo_loads_numpy_random(tmp_path, pattern_file):
         ["lagrangian", "--pattern", pattern_file] + out,
     )
     assert _loads_numpy_random(tmp_path, ["ladder", "--r", "4", "--mc-trials", "1000"] + out)
+
+
+def test_bare_package_import_loads_no_numpy(tmp_path):
+    assert _fresh_interpreter(
+        tmp_path, "import sys, turangap\nprint('numpy' in sys.modules)") == "False"
+
+
+# the thread count is read from /proc where it exists; elsewhere it prints as None
+_BLAS_PIN = ("import os, sys\n{first}import turangap.cli\n"
+             "tasks = '/proc/self/task'\n"
+             "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)")
+
+
+def test_cli_import_runs_openblas_on_one_thread(tmp_path):
+    pinned, threads = _fresh_interpreter(tmp_path, _BLAS_PIN.format(first="")).split()
+    assert pinned == "1"
+    assert threads in ("1", "None")
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count(tmp_path):
+    line = _fresh_interpreter(tmp_path, _BLAS_PIN.format(first=""), blas_threads="2")
+    assert line.split()[0] == "2"
+
+
+def test_cli_import_after_numpy_leaves_the_blas_thread_count_unset(tmp_path):
+    # numpy has read the variable already, so setting it would only reach child processes
+    line = _fresh_interpreter(tmp_path, _BLAS_PIN.format(first="import numpy\n"))
+    assert line.split()[0] == "None"
+
+
+def test_partition_counts_count_the_compositions():
+    for r in range(13):
+        for s in range(1, 14):
+            counts = list(turangap.cli._partition_counts(r, s))
+            assert counts[-1] == len(compositions(r, s))
+            if s > 1:  # for s = 1 the one count, 1, stands for every n
+                assert counts == [len(compositions(n, s)) for n in range(r + 1)]
+
+
+# each small case, its work function, and its size: C(5, 3) edges, p(4)
+# partitions, and the four compositions 4, 31, 22, 211 of 4 into at most 3 parts
+SIZED = [
+    (["chain", "--r", "3", "--m", "5"], "_MAX_CHAIN_EDGES", "build_chain_ladder", 10,
+     "the 3-sets on 5 vertices"),
+    (["ladder", "--r", "4"], "_MAX_LADDER_PARTITIONS", "ladder", 5, "the partitions of r=4"),
+    (["max-step", "--r", "4"], "_MAX_LADDER_PARTITIONS", "max_step", 5,
+     "the partitions of r=4"),
+    (["lemma-check", "--all-downsets", "--r", "4", "--s", "3"], "_MAX_LEMMA_COMPOSITIONS",
+     "iter_down_sets", 4, "the compositions of r=4 into at most s=3 parts"),
+]
+
+
+@pytest.mark.parametrize("argv,cap,work,size,what", SIZED, ids=[a[0][0] for a in SIZED])
+@pytest.mark.parametrize("over", [False, True])
+def test_input_size_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, cap,
+                                              work, size, what, over):
+    # at the cap the command runs; one below it, it exits 2 before its work starts
+    real, calls = getattr(turangap.cli, work), []
+    monkeypatch.setattr(f"turangap.cli.{cap}", size - over)
+    monkeypatch.setattr(f"turangap.cli.{work}",
+                        lambda *a: calls.append(a) or real(*a))
+    assert dispatch(argv + ["--out", str(tmp_path)]) == (2 if over else 0)
+    assert len(calls) == (not over)
+    if over:
+        assert capsys.readouterr().err == (
+            f"turangap {argv[0]}: {what} number more than {size - 1}\n")
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["chain", "--r", "6", "--m", "12"], "build_chain_ladder"),  # 924 edges
+    (["ladder", "--r", "54"], "ladder"),  # 386155 partitions
+    (["max-step", "--r", "54"], "max_step"),
+    (["lemma-check", "--all-downsets", "--r", "8", "--s", "8"], "iter_down_sets"),  # 22
+    (["lemma-check", "--all-downsets", "--r", "43", "--s", "2"], "iter_down_sets"),  # 22
+])
+def test_largest_accepted_sizes_reach_their_work(tmp_path, capsys, monkeypatch, argv, work):
+    # the stand-in stops the run where the work would start, so no large size runs
+    def stand_in(*args):
+        raise ValueError("work reached")
+    monkeypatch.setattr(f"turangap.cli.{work}", stand_in)
+    assert dispatch(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"turangap {argv[0]}: work reached\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["chain", "--r", "6", "--m", "13"], "the 6-sets on 13 vertices number more than 1000"),
+    (["chain", "--r", "5", "--m", "1000000000"],
+     "the 5-sets on 1000000000 vertices number more than 1000"),
+    (["chain", "--r", "500000000", "--m", "1000000000"],
+     "the 500000000-sets on 1000000000 vertices number more than 1000"),
+    (["ladder", "--r", "55"], "the partitions of r=55 number more than 400000"),
+    (["max-step", "--r", "1000000000"],
+     "the partitions of r=1000000000 number more than 400000"),
+    (["lemma-check", "--all-downsets", "--r", "9", "--s", "9"],
+     "the compositions of r=9 into at most s=9 parts number more than 22"),
+    (["lemma-check", "--all-downsets", "--r", "1000000000", "--s", "2"],
+     "the compositions of r=1000000000 into at most s=2 parts number more than 22"),
+])
+def test_inputs_past_the_size_limits_are_usage_errors(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    for work in ("build_chain_ladder", "ladder", "max_step", "iter_down_sets"):
+        monkeypatch.setattr(f"turangap.cli.{work}", lambda *a: pytest.fail("work started"))
+    assert dispatch(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"turangap {argv[0]}: {message}\n"

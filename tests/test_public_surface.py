@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import turangap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +54,10 @@ def test_all_is_exactly_what_readme_and_demos_use():
         assert hasattr(turangap, name), name
     # the README's exact values come out of the trimmed namespace
     assert turangap.max_step(4) == (Fraction(9, 16), (2, 1, 1, 0))
+
+
+def test_names_load_on_first_use_and_dir_lists_them():
+    assert set(turangap.__all__) <= set(dir(turangap))
+    assert turangap.maximize is turangap.simplex.maximize
+    with pytest.raises(AttributeError, match="no attribute 'compute'"):
+        getattr(turangap, "compute")
